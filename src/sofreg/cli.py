@@ -22,7 +22,7 @@ from .dataio import (
     write_curves_csv,
     write_responses_csv,
 )
-from .estimators import METHOD_TAGS, MarSample, fit_slope
+from .estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
 from .exceptions import (
     ConfigError,
     CsvFormatError,
@@ -31,7 +31,7 @@ from .exceptions import (
     SingularBasisError,
     SofregError,
 )
-from .functional import fpc_decompose
+from .functional import FpcBasis, fpc_decompose
 from .gof import wild_bootstrap_test
 from .simulation import DgpConfig, generate_dataset, mc_experiment
 from .svgplot import curve_plot, density_plot, grouped_boxplot
@@ -49,9 +49,12 @@ FULL_M, FULL_B = 1000, 1000
 
 
 def _default_threads() -> int:
+    """SOFREG_THREADS, else the cores this process may run on."""
     env = os.environ.get(THREADS_ENV)
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 
@@ -65,6 +68,13 @@ def _load_sample(curves_path: str, responses_path: str) -> MarSample:
     if not r.any():
         raise ConfigError("all responses are missing")
     return MarSample(x, y, r)
+
+
+def _observed_basis(sample: MarSample, basis: FpcBasis, var_cutoff: float) -> FpcBasis:
+    """Observed-pairs basis at the same variance cutoff as the all-curves basis."""
+    if sample.n_obs < sample.n:
+        return observed_pairs_basis(sample, var_cutoff)
+    return basis
 
 
 def _args_config(args) -> dict:
@@ -124,7 +134,8 @@ def cmd_fit(args) -> int:
     started = time.time()
     sample = _load_sample(args.curves, args.responses)
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
-    slope = fit_slope(sample, basis, args.method, seed=args.seed)
+    slope = fit_slope(sample, basis, args.method, seed=args.seed,
+                      observed_basis=_observed_basis(sample, basis, args.kmax_var_cutoff))
     out = args.out
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, f"slope_{slope.method_tag}.json")
@@ -153,7 +164,8 @@ def cmd_test(args) -> int:
     sample = _load_sample(args.curves, args.responses)
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
     result = wild_bootstrap_test(
-        sample, basis, args.method, b=args.bootstrap, seed=args.seed
+        sample, basis, args.method, b=args.bootstrap, seed=args.seed,
+        observed_basis=_observed_basis(sample, basis, args.kmax_var_cutoff),
     )
     out = args.out
     os.makedirs(out, exist_ok=True)

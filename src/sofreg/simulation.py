@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import set_blas_threads, single_blas_thread
 from .estimators import (
     METHOD_TAGS,
     MarSample,
@@ -281,9 +282,11 @@ def mc_experiment(
     """Run m replicates of generate -> fit -> test over each configuration.
 
     Pass b = 0 to collect fits (MSEE, timing) without running the test.
-    Replicate seeds are spawned from `seed` before dispatch, so results are
-    identical for any `threads` value. Failed replicates keep NaN entries and
-    are counted in `failures`, never silently dropped.
+    Replicate seeds are spawned from `seed` before dispatch, and every
+    replicate runs at one BLAS thread (in each worker process, or around the
+    serial loop, restoring the caller's count), so results are identical for
+    any `threads` value and core count. Failed replicates keep NaN entries
+    and are counted in `failures`, never silently dropped.
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
@@ -302,10 +305,12 @@ def mc_experiment(
         arglist = [(config, b, tags, s) for s in cell_seq.spawn(m)]
         if threads > 1:
             chunk = max(1, m // (8 * threads))
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
+                                     initargs=(1,)) as pool:
                 results = list(pool.map(_run_replicate, arglist, chunksize=chunk))
         else:
-            results = [_run_replicate(a) for a in arglist]
+            with single_blas_thread():
+                results = [_run_replicate(a) for a in arglist]
 
         p_values = {t: np.full(m, np.nan) for t in tags}
         msee = {t: np.full(m, np.nan) for t in tags}

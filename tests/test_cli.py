@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from sofreg import cli
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
+from sofreg.estimators import MarSample, observed_pairs_basis
 
 
 def run(argv):
@@ -131,6 +133,43 @@ class TestFit:
                     "--method", "I", "--plot", "--out", out]) == 0
         svg = (out / "slope_I.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+
+    def test_kmax_var_cutoff_truncates_the_observed_basis(self, tmp_path):
+        data = tmp_path / "d65"
+        assert run(["simulate", "--beta-id", 3, "--n", 65, "--eta", 2.0,
+                    "--seed", 1, "--out", data]) == 0
+        out = tmp_path / "fitS"
+        assert run(["fit", "--curves", data / "curves.csv",
+                    "--responses", data / "responses.csv", "--method", "S",
+                    "--kmax-var-cutoff", 0.2, "--out", out]) == 0
+        report = json.loads((out / "slope_S.json").read_text())
+        y, r = read_responses_csv(str(data / "responses.csv"))
+        sample = MarSample(read_curves_csv(str(data / "curves.csv")), y, r)
+        assert sample.n_obs < sample.n
+        k_max = observed_pairs_basis(sample, 0.2).k_max
+        assert k_max < observed_pairs_basis(sample).k_max
+        assert report["cutoffs"]["K_S"] <= k_max
+        assert len(report["cv_errors"]) <= k_max
+
+
+class TestDefaultThreads:
+    def test_counts_usable_cores(self, monkeypatch):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._default_threads() == 1
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._default_threads() == 3
+
+    def test_environment_takes_precedence(self, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "5")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._default_threads() == 5
 
 
 class TestTest:

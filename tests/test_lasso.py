@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sofreg.estimators
+from conftest import make_mar_dataset
+from sofreg.estimators import fit_observance, fit_slope, observed_pairs_basis
 from sofreg.lasso import (
     kkt_violation,
     lambda_grid,
@@ -14,6 +19,60 @@ def random_design(rng, n=40, k=5):
     x = rng.normal(size=(n, k)) * rng.uniform(0.3, 3.0, size=k)
     y = rng.normal(size=n)
     return x, y
+
+
+def scaled_kkt(x, y, lambdas, path):
+    """Worst KKT violation over the path, relative to max(1, lambda_max)."""
+    scale = max(1.0, lambda_max(x, y))
+    return max(kkt_violation(x, y, beta, float(lam)) for lam, beta in zip(lambdas, path)) / scale
+
+
+def collinear_design(seed, n=30):
+    """Three columns, the third close to the sum of the others: paths with drops."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 3))
+    z[:, 2] = z[:, 0] + z[:, 1] + 0.3 * rng.normal(size=n)
+    x = z - z.mean(axis=0)
+    y = x @ rng.normal(size=3) + rng.normal(size=n)
+    return x, y - y.mean()
+
+
+def coefficients_at(x, y, lam):
+    return lasso_path(x, y, np.array([lam]))[0]
+
+
+def first_drop(x, y):
+    """(column, lambda) of the first coefficient to return to zero, by bisection."""
+    lambdas = lambda_grid(x, y, 1000)
+    path = lasso_path(x, y, lambdas)
+    gone = (path[:-1] != 0.0) & (path[1:] == 0.0)
+    step, j = (int(v[0]) for v in np.nonzero(gone))
+    hi, lo = lambdas[step], lambdas[step + 1]
+    for _ in range(200):
+        mid = 0.5 * (hi + lo)
+        if coefficients_at(x, y, mid)[j] != 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return j, lo
+
+
+def recorded_selections(monkeypatch, n, eta, seed):
+    """(design, y, seed) of every lasso_select call the SL, IL and WL fits make."""
+    calls = []
+
+    def recorder(design, y, seed=0, **kwargs):
+        calls.append((np.array(design), np.array(y), seed))
+        return lasso_select(design, y, seed=seed, **kwargs)
+
+    monkeypatch.setattr(sofreg.estimators, "lasso_select", recorder)
+    sample, basis, y = make_mar_dataset(n=n, beta_id=1 + seed % 3, eta=eta,
+                                        delta=0.03 * (seed % 2), seed=seed)
+    ob = observed_pairs_basis(sample)
+    model = fit_observance(sample)
+    for tag in ("SL", "IL", "WL"):
+        fit_slope(sample, basis, tag, seed=seed, observance=model, observed_basis=ob)
+    return calls
 
 
 class TestLassoPath:
@@ -66,6 +125,54 @@ class TestLassoPath:
         steps = np.abs(np.diff(path, axis=0)).max(axis=1)
         assert np.max(steps) < 0.3 * (np.abs(path).max() + 1.0)
 
+    def test_coefficient_crosses_zero_and_leaves_the_set(self):
+        x, y = collinear_design(seed=3)
+        lambdas = lambda_grid(x, y, n_lambdas=400)
+        path = lasso_path(x, y, lambdas)
+        j, lam_drop = first_drop(x, y)
+        before = coefficients_at(x, y, lam_drop * (1.0 + 1e-6))[j]
+        after = coefficients_at(x, y, lam_drop * (1.0 - 1e-6))
+        assert before != 0.0 and after[j] == 0.0
+        # the column later rejoins with the opposite sign
+        rejoined = path[lambdas < lam_drop, j]
+        assert np.any(np.sign(rejoined) == -np.sign(before))
+        assert scaled_kkt(x, y, lambdas, path) <= 1e-9
+
+    def test_join_drop_tie(self):
+        # a fourth column built to join exactly where a coefficient drops: both
+        # events share one kink, and the dropped column must stay free to rejoin
+        x, y = collinear_design(seed=2)
+        j, lam_drop = first_drop(x, y)
+        resid = y - x @ coefficients_at(x, y, lam_drop)
+        w = np.random.default_rng(2).normal(size=y.size)
+        w -= w.mean() + (w @ resid) / (resid @ resid) * resid
+        joiner = (lam_drop / 2.0) / (resid @ resid) * resid + 0.5 * w / np.linalg.norm(w)
+        xa = np.column_stack([x, joiner])
+        above = coefficients_at(xa, y, lam_drop * (1.0 + 1e-6))
+        below = coefficients_at(xa, y, lam_drop * (1.0 - 1e-6))
+        assert above[3] == 0.0 and above[j] != 0.0
+        assert below[3] != 0.0 and below[j] == 0.0
+        near = lam_drop * (1.0 + np.array([1e-9, 0.0, -1e-9]))
+        lambdas = np.sort(np.concatenate([lambda_grid(xa, y, n_lambdas=100), near]))[::-1]
+        path = lasso_path(xa, y, lambdas)
+        assert scaled_kkt(xa, y, lambdas, path) <= 1e-9
+        assert np.any(path[lambdas < lam_drop, j] != 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60), k=st.integers(1, 8),
+           collinearity=st.floats(0.0, 0.99))
+    def test_property_kkt_on_the_path(self, seed, n, k, collinearity):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, k)) * rng.uniform(0.3, 3.0, size=k)
+        x[:, -1] = collinearity * x[:, 0] + (1.0 - collinearity) * x[:, -1]
+        x -= x.mean(axis=0)
+        y = x @ rng.normal(size=k) * rng.uniform(0.0, 2.0) + rng.normal(size=n)
+        y -= y.mean()
+        if k >= n - 1:  # keep the Gram matrix nonsingular
+            x = x[:, : n - 2]
+        lambdas = lambda_grid(x, y, n_lambdas=50)
+        assert scaled_kkt(x, y, lambdas, lasso_path(x, y, lambdas)) <= 1e-9
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             lasso_path(np.array([[1.0], [np.nan]]), np.ones(2), np.array([1.0]))
@@ -101,6 +208,25 @@ class TestLassoSelect:
             support, _ = lasso_select(basis.scores, ytilde, seed=seed)
             multi += len(support) >= 2
         assert multi >= 5
+
+    @pytest.mark.parametrize("n,eta", [(50, 0.5), (100, 1.0), (200, 2.0)])
+    def test_kkt_at_every_grid_lambda_of_every_fold(self, monkeypatch, n, eta):
+        # first-stage SL designs and completed-response IL/WL second stages
+        worst = 0.0
+        for seed in range(3):
+            calls = recorded_selections(monkeypatch, n, eta, seed)
+            assert len(calls) == 5
+            for design, y, fold_seed in calls:
+                xc, yc = design - design.mean(axis=0), y - y.mean()
+                lambdas = lambda_grid(xc, yc)
+                folds = min(10, y.size)
+                assignment = np.random.default_rng(fold_seed).permutation(y.size) % folds
+                for f in range(folds):
+                    train = assignment != f
+                    xf = design[train] - design[train].mean(axis=0)
+                    yf = y[train] - y[train].mean()
+                    worst = max(worst, scaled_kkt(xf, yf, lambdas, lasso_path(xf, yf, lambdas)))
+        assert worst <= 1e-9
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)

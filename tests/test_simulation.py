@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from sofreg import blas
 from sofreg.estimators import estimate_complete, MarSample
 from sofreg.exceptions import ConfigError, GridMismatchError
 from sofreg.functional import Grid, fpc_decompose, norm
@@ -189,6 +192,34 @@ class TestMcExperiment:
         for tag in ("S", "I"):
             np.testing.assert_array_equal(r1.cells[0].p_values[tag], r2.cells[0].p_values[tag])
             np.testing.assert_array_equal(r1.cells[0].msee[tag], r2.cells[0].msee[tag])
+
+    def test_report_bytes_do_not_depend_on_threads(self):
+        # the LASSO tags and IPW too, not only S and I; NaN goes through repr
+        cfg = DgpConfig(beta_id=3, delta=0.03, eta=1.0, n=40)
+        payloads = []
+        for threads in (1, 2):
+            report = mc_experiment([cfg], m=4, b=20, estimators=("CL", "SL", "IL", "WL"),
+                                   seed=21, threads=threads)
+            cell = report.cells[0]
+            payloads.append(json.dumps({
+                "rejection": cell.rejection,
+                "msee_mean": cell.msee_mean,
+                "failures": cell.failures,
+                "p_values": {t: [repr(v) for v in a] for t, a in cell.p_values.items()},
+                "msee": {t: [repr(v) for v in a] for t, a in cell.msee.items()},
+            }, sort_keys=True))
+        assert payloads[0] == payloads[1]
+
+    def test_serial_run_restores_the_callers_blas_threads(self):
+        cfg = DgpConfig(beta_id=1, delta=0.0, eta=1.0, n=40)
+        previous = blas.set_blas_threads(2)
+        if previous is None:
+            pytest.skip("no OpenBLAS loaded")
+        try:
+            mc_experiment([cfg], m=1, b=10, estimators=("S",), seed=22, threads=1)
+        finally:
+            after = blas.set_blas_threads(previous)
+        assert after == 2
 
     def test_seed_determinism(self):
         cfg = DgpConfig(beta_id=3, delta=0.01, eta=2.0, n=40)
