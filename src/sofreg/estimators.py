@@ -41,6 +41,10 @@ BANDWIDTH_FACTORS = np.round(np.arange(0.1, 1.51, 0.1), 10)
 
 METHOD_TAGS = ("C", "CL", "S", "SL", "I", "IL", "W", "WL")
 
+#: Leave-one-out CV errors within this multiple of y~'y~ of the smallest
+#: differ only by round-off and count as ties.
+CV_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MarSample:
@@ -217,6 +221,17 @@ def _loo_pieces(design: np.ndarray, y: np.ndarray):
     return coef, loo_resid, loo_coef
 
 
+def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
+    """Index of the first error within round-off of the smallest one.
+
+    Errors closer than CV_TIE_RTOL * y~'y~ to the minimum tie and go to the
+    earliest index, so an exact fit, whose errors are rounding dust, does
+    not pick its cutoff by the BLAS thread count.
+    """
+    tol = CV_TIE_RTOL * float(ytilde @ ytilde)
+    return int(np.flatnonzero(errors <= errors.min() + tol)[0])
+
+
 def _simplified_cv_errors(ytilde, s_obs, k_eff) -> np.ndarray:
     errors = np.empty(k_eff)
     for k in range(1, k_eff + 1):
@@ -252,14 +267,15 @@ def loocv_cutoff_simplified(
 ) -> int:
     """Cutoff K minimizing leave-one-out error of the observed-pairs fit.
 
-    Ties break toward the smaller K. The search range is clamped to
+    Errors within round-off of the minimum (CV_TIE_RTOL * y~'y~) tie, and
+    ties break toward the smaller K. The search range is clamped to
     n_obs - 1 so every leave-one-out fit stays defined.
     """
     obs, _, _, ytilde = _prep(sample, basis)
     ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
     k_eff = _first_stage_limit(ob, sample, k_max)
     errors = _simplified_cv_errors(ytilde, ob.scores, k_eff)
-    return int(np.argmin(errors)) + 1
+    return _first_cv_minimum(errors, ytilde) + 1
 
 
 def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
@@ -310,18 +326,6 @@ def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
     return errors
 
 
-def _argmin_joint(errors: np.ndarray) -> tuple[int, int]:
-    """Minimize the (K_first, K_second) table; ties prefer small K_second, then K_first."""
-    best = None
-    k1_n, k2_n = errors.shape
-    for k2 in range(k2_n):
-        for k1 in range(k1_n):
-            e = errors[k1, k2]
-            if best is None or e < best[0]:
-                best = (e, k1 + 1, k2 + 1)
-    return best[1], best[2]
-
-
 def joint_loocv_cutoffs(
     sample: MarSample,
     basis: FpcBasis,
@@ -346,7 +350,9 @@ def joint_loocv_cutoffs(
         ytilde, ob, obs, miss, basis.scores, basis.eigenvalues,
         sample.n, k1_eff, k2_eff, miss_scores_ob, inv_p,
     )
-    return _argmin_joint(errors)
+    # ties prefer small K_second, then K_first
+    k2, k1 = divmod(_first_cv_minimum(errors.T.ravel(), ytilde), k1_eff)
+    return k1 + 1, k2 + 1
 
 
 def _make_slope(basis, tag, indices, coefficients, response_center, alpha,
@@ -402,7 +408,7 @@ def estimate_simplified(
     ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
     k_eff = _first_stage_limit(ob, sample, k_max)
     errors = _simplified_cv_errors(ytilde, ob.scores, k_eff)
-    k_s = int(np.argmin(errors)) + 1
+    k_s = _first_cv_minimum(errors, ytilde) + 1
     indices = tuple(range(1, k_s + 1))
     alpha, coef = _lm_fit(ob.scores[:, :k_s], ytilde)
     return _make_slope(

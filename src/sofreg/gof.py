@@ -4,10 +4,13 @@ The statistic integrates a residual-marked empirical process over projection
 directions confined to the span of the FPCs used by the fitted slope. That
 integral has a closed form: a quadratic form of the observed-pair residuals
 in a matrix A built from spherical angles between score-difference vectors.
-Calibration resamples residuals with golden-section multipliers and refits
-the slope coefficients with every selected structure (index sets, cutoffs,
-observance probabilities, and A itself) frozen at the original fit, so only
-the coefficient refits and the quadratic form run per replicate.
+Since the angles of a triangle sum to pi, A needs only two of the three
+angles of each triangle of distinct score points; coincident score rows
+enter as one point weighted by their count. Calibration resamples residuals
+with golden-section multipliers and refits the slope coefficients with every
+selected structure (index sets, cutoffs, observance probabilities, and A
+itself) frozen at the original fit, so only the coefficient refits and the
+quadratic form run per replicate.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .functional import FpcBasis
 
 #: Relative tolerance under which two score vectors count as coincident.
 SCORE_COINCIDENCE_RTOL = 1e-12
+
+#: Vertex angles (radians) this close to 0 or pi are taken from chord lengths.
+_CHORD_ANGLE = 1e-4
 
 GOLDEN_LOW = (1.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HIGH = (1.0 + math.sqrt(5.0)) / 2.0
@@ -83,22 +89,76 @@ def residuals(sample: MarSample, slope: FunctionalSlope) -> np.ndarray:
     return ytilde - slope.predict_centered(_observed_score_rows(sample, slope))
 
 
-def _coincident_rows(block: np.ndarray) -> np.ndarray:
-    """Boolean matrix of score rows equal within SCORE_COINCIDENCE_RTOL."""
-    diff = np.max(np.abs(block[:, None, :] - block[None, :, :]), axis=2)
+def _unit_differences(block: np.ndarray):
+    """Unit difference vectors between the distinct points of a score block.
+
+    Two rows coincide when their sup-norm distance is at most
+    SCORE_COINCIDENCE_RTOL times the larger of their sup-norms; coincident
+    rows collapse into one point. Returns (unit, weights, point):
+    unit[a, b] = (x_b - x_a) / |x_b - x_a| between points (zero for a = b),
+    weights[a] counts the rows at point a, and point[i] is row i's point.
+    Raises ValueError when coincidence is not transitive, since the rows
+    then form no set of points.
+    """
+    diff = block[None, :, :] - block[:, None, :]
+    gap = np.zeros(diff.shape[:2])
+    for k in range(diff.shape[2]):  # one column at a time: no second n*n*K array
+        np.maximum(gap, np.abs(diff[:, :, k]), out=gap)
     row_scale = np.max(np.abs(block), axis=1)
     pair_scale = np.maximum(row_scale[:, None], row_scale[None, :])
     floor = np.finfo(float).tiny
-    return diff <= SCORE_COINCIDENCE_RTOL * np.maximum(pair_scale, floor)
+    coincident = gap <= SCORE_COINCIDENCE_RTOL * np.maximum(pair_scale, floor)
+    first = np.argmax(coincident, axis=1)
+    if not np.array_equal(coincident, first[:, None] == first[None, :]):
+        raise ValueError("score rows coincide non-transitively")
+    points, point, weights = np.unique(first, return_inverse=True, return_counts=True)
+    if points.size < block.shape[0]:
+        diff = diff[np.ix_(points, points)]
+    lengths = np.sqrt(np.einsum("abk,abk->ab", diff, diff))
+    np.fill_diagonal(lengths, 1.0)
+    diff /= lengths[:, :, None]
+    return diff, weights.astype(float), point
+
+
+def _vertex_angles(unit: np.ndarray, r: int) -> np.ndarray:
+    """t[a, b] = angle at point a of the triangle (a, b, r) for a, b < r; t[a, a] = pi.
+
+    arccos magnifies the rounding of a cosine near +-1, so angles within
+    _CHORD_ANGLE of 0 or pi come from the chord between the two unit vectors.
+    """
+    t = np.matmul(unit[:r, :r], unit[:r, r, :, None])[:, :, 0]
+    np.clip(t, -1.0, 1.0, out=t)
+    np.arccos(t, out=t)
+    # in one dimension every cosine is exactly +-1 and arccos is exact
+    if unit.shape[2] > 1:
+        flat = np.flatnonzero((t < _CHORD_ANGLE) | (t > np.pi - _CHORD_ANGLE))
+        if flat.size:
+            a, b = np.divmod(flat, r)
+            obtuse = t[a, b] > 0.5 * np.pi
+            away = np.where(obtuse, -1.0, 1.0)[:, None] * unit[a, r]
+            chord = np.linalg.norm(unit[a, b] - away, axis=1)
+            small = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+            t[a, b] = np.where(obtuse, np.pi - small, small)
+    np.fill_diagonal(t, np.pi)
+    return t
 
 
 def build_a_matrix(score_block: np.ndarray, n_k: int | None = None) -> AMatrix:
     """Assemble A with entries A_lm = sum_r c * angle_term(l, m, r).
 
     angle_term is 2*pi when the three score vectors coincide, pi when exactly
-    one pair does, and |pi - angle at vertex r between the difference vectors|
-    otherwise; c = pi^(N_K/2 - 1) / Gamma(N_K / 2). Entries depend only on
-    angles, so the matrix is invariant under a common rescaling of scores.
+    one pair does, and pi - (angle at vertex r between the difference
+    vectors) otherwise; c = pi^(N_K/2 - 1) / Gamma(N_K / 2). Entries depend
+    only on angles, so the matrix is invariant under a common rescaling of
+    scores.
+
+    Coincident rows are one point weighted by its row count. For three
+    distinct points the angles of their triangle sum to pi, so pi minus the
+    angle at r is the sum of the angles at l and m. Points are visited in
+    order; at point r the angles at a and b of every triangle (a, b, r) with
+    a, b < r give all three entries of that triangle: r's term in A_ab, and
+    the terms of b in A_ar and of a in A_br. That takes two arccos per
+    triangle, where evaluating every angle at every vertex takes six.
     """
     block = np.asarray(score_block, dtype=float)
     if block.ndim == 1:
@@ -113,26 +173,24 @@ def build_a_matrix(score_block: np.ndarray, n_k: int | None = None) -> AMatrix:
     if n_s < 2:
         raise ValueError("need at least 2 score rows")
 
-    dup = _coincident_rows(block)
-    acc = np.zeros((n_s, n_s))
-    for r_idx in range(n_s):
-        d = block - block[r_idx]
-        gram = d @ d.T
-        sq = np.maximum(np.diag(gram).copy(), 0.0)
-        denom = np.sqrt(np.outer(sq, sq))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cosang = np.where(denom > 0.0, gram / np.where(denom > 0.0, denom, 1.0), 1.0)
-        a0 = np.abs(np.pi - np.arccos(np.clip(cosang, -1.0, 1.0)))
-        a0[dup] = np.pi
-        at_vertex = dup[:, r_idx]
-        pair = at_vertex[:, None] | at_vertex[None, :]
-        a0[pair] = np.pi
-        a0[at_vertex[:, None] & at_vertex[None, :]] = 2.0 * np.pi
-        acc += a0
+    unit, weights, point = _unit_differences(block)
+    n_p = weights.size
+    # half + half.T sums, over third points, the terms between distinct points
+    half = np.zeros((n_p, n_p))
+    for r in range(1, n_p):
+        t = _vertex_angles(unit, r)
+        # sum over b < r of w_b * (pi - t[b, a]); t[a, a] = pi drops b = a
+        half[:r, r] = np.pi * weights[:r].sum() - weights[:r] @ t
+        t *= weights[r]
+        half[:r, :r] += t
+    total = half + half.T
+    # third rows at l or at m each add pi; l and m at one point add pi per
+    # other row and 2*pi per row there
+    total += np.pi * (weights[:, None] + weights[None, :])
+    np.fill_diagonal(total, np.pi * (n_s + weights))
 
-    constant = np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
-    values = constant * acc
-    values = 0.5 * (values + values.T)
+    total *= np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
+    values = total[np.ix_(point, point)]
     values.setflags(write=False)
     return AMatrix(values=values, n_k=n_k, score_block=block)
 

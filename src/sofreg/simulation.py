@@ -285,8 +285,9 @@ def mc_experiment(
     Replicate seeds are spawned from `seed` before dispatch, and every
     replicate runs at one BLAS thread (in each worker process, or around the
     serial loop, restoring the caller's count), so results are identical for
-    any `threads` value and core count. Failed replicates keep NaN entries
-    and are counted in `failures`, never silently dropped.
+    any `threads` value and core count. With threads > 1 the replicates of
+    all cells go, in cell order, through one worker pool. Failed replicates
+    keep NaN entries and are counted in `failures`, never silently dropped.
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
@@ -298,26 +299,28 @@ def mc_experiment(
             raise ConfigError(f"unknown estimator tag {t!r}")
     started = time.perf_counter()
     root = np.random.SeedSequence(seed)
-    cell_seqs = root.spawn(len(configs))
+    arglist = [
+        (config, b, tags, s)
+        for config, cell_seq in zip(configs, root.spawn(len(configs)))
+        for s in cell_seq.spawn(m)
+    ]
+    if threads > 1:
+        chunk = max(1, m // (8 * threads))
+        with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
+                                 initargs=(1,)) as pool:
+            results = list(pool.map(_run_replicate, arglist, chunksize=chunk))
+    else:
+        with single_blas_thread():
+            results = [_run_replicate(a) for a in arglist]
 
     cells = []
-    for config, cell_seq in zip(configs, cell_seqs):
-        arglist = [(config, b, tags, s) for s in cell_seq.spawn(m)]
-        if threads > 1:
-            chunk = max(1, m // (8 * threads))
-            with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
-                                     initargs=(1,)) as pool:
-                results = list(pool.map(_run_replicate, arglist, chunksize=chunk))
-        else:
-            with single_blas_thread():
-                results = [_run_replicate(a) for a in arglist]
-
+    for c, config in enumerate(configs):
         p_values = {t: np.full(m, np.nan) for t in tags}
         msee = {t: np.full(m, np.nan) for t in tags}
         times = {t: np.full(m, np.nan) for t in tags}
         failures = {t: 0 for t in tags}
         missing = np.zeros(m)
-        for i, rep in enumerate(results):
+        for i, rep in enumerate(results[c * m:(c + 1) * m]):
             missing[i] = rep["missing_fraction"]
             if rep["error"] is not None:
                 for t in tags:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
 from oracles import case_table_a_matrix, mc_a_matrix, mc_pcvm_statistic
@@ -108,6 +110,74 @@ class TestAMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             build_a_matrix(np.array([[np.nan], [1.0]]))
+
+    @pytest.mark.parametrize("rows", [
+        (0, 1, 2, 3, 1, 4, 0, 5),  # two duplicated pairs
+        (0, 1, 2, 2, 3, 2, 4),  # a triplicate
+        (0, 1),  # a 2-point block
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_coincident_rows_match_case_table(self, rows, k):
+        points = np.random.default_rng(20 + k).normal(size=(max(rows) + 1, k))
+        block = points[list(rows)]
+        a = build_a_matrix(block)
+        np.testing.assert_allclose(a.values, case_table_a_matrix(block), atol=1e-10)
+
+    @pytest.mark.parametrize("x", [
+        np.array([3.0, -1.0, 3.0, 0.5, 7.0, -1.0, 2.0, 3.0, 11.0, -4.5]),
+        np.random.default_rng(21).normal(size=40),
+    ])
+    def test_one_dimension_is_exact(self, x):
+        # on a line every angle is 0 or pi: A_lm counts the r with x_l, x_m
+        # both at or below x_r plus those with both at or above it
+        le = (x[:, None] <= x[None, :]).astype(float)
+        ge = (x[:, None] >= x[None, :]).astype(float)
+        np.testing.assert_allclose(build_a_matrix(x).values, le @ le.T + ge @ ge.T,
+                                   rtol=0, atol=1e-12)
+
+    def test_near_collinear_triple_keeps_its_digits(self):
+        # vertex angles of ~1e-7 rad, where arccos of the cosine loses half
+        # of its digits; the reference takes every angle from atan2
+        block = np.array([[0.0, 0.0], [1.0, 1e-7], [2.0, 0.0], [0.4, 3.0], [-1.0, 2.5]])
+        n = block.shape[0]
+        reference = np.zeros((n, n))
+        for r in range(n):
+            d = block - block[r]
+            cross = d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0]
+            angle = np.arctan2(np.abs(cross), d @ d.T)
+            term = np.pi - angle
+            np.fill_diagonal(term, np.pi)
+            term[r, :] = term[:, r] = np.pi
+            term[r, r] = 2.0 * np.pi
+            reference += term
+        # c = 1 at K = 2
+        np.testing.assert_allclose(build_a_matrix(block).values, reference,
+                                   rtol=1e-14, atol=0)
+
+    def test_non_transitive_coincidence_is_rejected(self):
+        # rows 0 and 1, and rows 1 and 2, coincide within the tolerance; 0 and 2 do not
+        block = np.array([[1.0, 0.5], [1.0 + 0.8e-12, 0.5], [1.0 + 1.6e-12, 0.5], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="non-transitively"):
+            build_a_matrix(block)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), k=st.integers(1, 4),
+           scale=st.floats(1e-3, 1e3), duplicates=st.integers(0, 3))
+    def test_invariant_under_rotation_rescaling_and_row_order(
+        self, seed, n, k, scale, duplicates
+    ):
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(n, k))
+        for _ in range(duplicates):
+            block[rng.integers(n)] = block[rng.integers(n)]
+        a = build_a_matrix(block).values
+        tol = {"rtol": 1e-11, "atol": 1e-11 * np.abs(a).max()}
+        rotation, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        np.testing.assert_allclose(build_a_matrix(block @ rotation).values, a, **tol)
+        np.testing.assert_allclose(build_a_matrix(scale * block).values, a, **tol)
+        perm = rng.permutation(n)
+        np.testing.assert_allclose(build_a_matrix(block[perm]).values,
+                                   a[np.ix_(perm, perm)], **tol)
 
 
 class TestPcvmStatistic:

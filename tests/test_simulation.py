@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sofreg import blas
+from sofreg import blas, simulation
 from sofreg.estimators import estimate_complete, MarSample
 from sofreg.exceptions import ConfigError, GridMismatchError
 from sofreg.functional import Grid, fpc_decompose, norm
@@ -194,21 +194,38 @@ class TestMcExperiment:
             np.testing.assert_array_equal(r1.cells[0].msee[tag], r2.cells[0].msee[tag])
 
     def test_report_bytes_do_not_depend_on_threads(self):
-        # the LASSO tags and IPW too, not only S and I; NaN goes through repr
-        cfg = DgpConfig(beta_id=3, delta=0.03, eta=1.0, n=40)
+        # the LASSO tags and IPW too, not only S and I; NaN goes through repr;
+        # three cells share one worker pool and must come back in cell order
+        configs = [DgpConfig(beta_id=3, delta=0.03, eta=1.0, n=40),
+                   DgpConfig(beta_id=1, delta=0.0, eta=2.0, n=30),
+                   DgpConfig(beta_id=2, delta=0.03, eta=0.5, n=50)]
         payloads = []
         for threads in (1, 2):
-            report = mc_experiment([cfg], m=4, b=20, estimators=("CL", "SL", "IL", "WL"),
+            report = mc_experiment(configs, m=4, b=20, estimators=("CL", "SL", "IL", "WL"),
                                    seed=21, threads=threads)
-            cell = report.cells[0]
-            payloads.append(json.dumps({
+            payloads.append(json.dumps([{
+                "n": cell.n,
                 "rejection": cell.rejection,
                 "msee_mean": cell.msee_mean,
                 "failures": cell.failures,
                 "p_values": {t: [repr(v) for v in a] for t, a in cell.p_values.items()},
                 "msee": {t: [repr(v) for v in a] for t, a in cell.msee.items()},
-            }, sort_keys=True))
+            } for cell in report.cells], sort_keys=True))
         assert payloads[0] == payloads[1]
+
+    def test_multi_cell_run_starts_one_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(simulation.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        configs = [DgpConfig(beta_id=b, delta=0.0, eta=1.0, n=30) for b in (1, 2, 3)]
+        report = mc_experiment(configs, m=3, b=10, estimators=("S",), seed=23, threads=2)
+        assert pools == [2]
+        assert [cell.m for cell in report.cells] == [3, 3, 3]
 
     def test_serial_run_restores_the_callers_blas_threads(self):
         cfg = DgpConfig(beta_id=1, delta=0.0, eta=1.0, n=40)
