@@ -218,6 +218,12 @@ class McReport:
     sigma_eps: float = 0.1
 
 
+# Numerical failures of one replicate or one estimator: counted, never fatal.
+# ArithmeticError covers FloatingPointError (under np.seterr(all="raise")),
+# ZeroDivisionError and OverflowError.
+_REPLICATE_FAILURES = (SofregError, np.linalg.LinAlgError, ValueError, ArithmeticError)
+
+
 def _run_replicate(args):
     """One generate -> fit -> test replicate (top level for pickling)."""
     config, b, tags, seed_seq = args
@@ -237,7 +243,7 @@ def _run_replicate(args):
             observance = fit_observance(sample)
             nw_seconds = time.perf_counter() - t0
         caches = {True: {}, False: {}}
-    except (SofregError, np.linalg.LinAlgError, ValueError) as exc:
+    except _REPLICATE_FAILURES as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
         return out
 
@@ -264,7 +270,7 @@ def _run_replicate(args):
                     observed_basis=ob,
                 )
                 entry["p"] = result.p_value
-        except (SofregError, np.linalg.LinAlgError, ValueError) as exc:
+        except _REPLICATE_FAILURES as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
         out["per_tag"][tag] = entry
     return out

@@ -1,14 +1,18 @@
-"""Independent Monte Carlo oracles for the projected Cramer-von Mises test.
+"""Independent oracles for the projected Cramer-von Mises test and LASSO CV.
 
-These deliberately avoid the closed-form A-matrix route: directions are drawn
-uniformly on the unit sphere of the score space, the marked empirical process
-is evaluated through the projected ECDF, and the direction integral is the
-sphere surface area times the sample mean over draws.
+The test oracles deliberately avoid the closed-form A-matrix route:
+directions are drawn uniformly on the unit sphere of the score space, the
+marked empirical process is evaluated through the projected ECDF, and the
+direction integral is the sphere surface area times the sample mean over
+draws. The LASSO oracle cross-validates fold by fold with one exact path per
+centred training fold instead of one batched path over all folds.
 """
 
 import math
 
 import numpy as np
+
+from sofreg.lasso import lambda_grid, lasso_path
 
 
 def sphere_area(dim: int) -> float:
@@ -97,3 +101,33 @@ def case_table_a_matrix(score_block):
                     total += abs(np.pi - np.arccos(cosang))
             out[l, m] = constant * total
     return out
+
+
+def lasso_cv_reference(design, y, seed, folds=10):
+    """Fold-by-fold 10-fold CV with the one-standard-error rule.
+
+    Uses the selector's fold assignment and lambda grid, fits each centred
+    training fold with its own `lasso_path` call and the full centred sample
+    with another. Returns (support, lambda, cv, cv_se).
+    """
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    folds = max(2, min(folds, n))
+    assignment = np.random.default_rng(seed).permutation(n) % folds
+    xc, yc = design - design.mean(axis=0), y - y.mean()
+    lambdas = lambda_grid(xc, yc)
+    mse = np.empty((folds, lambdas.size))
+    for f in range(folds):
+        train, test = assignment != f, assignment == f
+        col_mean, y_mean = design[train].mean(axis=0), y[train].mean()
+        path = lasso_path(design[train] - col_mean, y[train] - y_mean, lambdas)
+        resid = (y[test] - y_mean)[:, None] - (design[test] - col_mean) @ path.T
+        mse[f] = np.mean(resid**2, axis=0)
+    cv = mse.mean(axis=0)
+    se = mse.std(axis=0, ddof=1) / np.sqrt(folds)
+    best = int(np.argmin(cv))
+    chosen = int(np.argmax(cv <= cv[best] + se[best]))
+    beta = lasso_path(xc, yc, lambdas[chosen:chosen + 1])[0]
+    support = tuple(int(j) + 1 for j in np.flatnonzero(beta != 0.0)) or (1,)
+    return support, float(lambdas[chosen]), cv, se

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
 from oracles import case_table_a_matrix, mc_a_matrix, mc_pcvm_statistic
 from sofreg.estimators import (
+    METHOD_TAGS,
     MarSample,
     estimate_simplified,
     fit_observance,
@@ -256,6 +257,19 @@ class TestWildBootstrap:
             )
             assert 0.0 <= result.p_value <= 1.0
             assert result.b == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(tag=st.sampled_from(METHOD_TAGS), b=st.integers(5, 60),
+           seed=st.integers(0, 2**31 - 1), n=st.integers(20, 40))
+    def test_property_p_value_is_the_bootstrap_count(self, tag, b, seed, n):
+        eta = None if tag in ("C", "CL") else 1.0
+        sample, basis, _ = make_mar_dataset(n=n, beta_id=1 + seed % 3, eta=eta,
+                                            delta=0.03 * (seed % 2), seed=seed)
+        result = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed)
+        count = np.count_nonzero(result.statistic <= result.bootstrap_statistics)
+        assert result.bootstrap_statistics.shape == (b,)
+        assert result.p_value == count / b
+        assert result.p_value == round(result.p_value * b) / b
 
     def test_end_to_end_determinism(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=15)

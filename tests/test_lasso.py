@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 import sofreg.estimators
 from conftest import make_mar_dataset
+from oracles import lasso_cv_reference
 from sofreg.estimators import fit_observance, fit_slope, observed_pairs_basis
 from sofreg.lasso import (
+    _exact_path,
     kkt_violation,
     lambda_grid,
     lambda_max,
@@ -117,6 +119,16 @@ class TestLassoPath:
             for lam, beta in zip(lambdas, path):
                 assert kkt_violation(x, y, beta, float(lam)) < 1e-6 * scale
 
+    def test_exactly_tied_joins(self):
+        # three columns with identical correlations join at one kink through
+        # zero-length steps; the path is the soft-threshold solution
+        x = np.vstack([np.eye(3), np.zeros((1, 3))])
+        y = np.array([1.0, 1.0, -1.0, 0.5])
+        mus = np.array([1.5, 1.0, 0.75, 0.5, 0.0])
+        path = lasso_path(x, y, 2.0 * mus)
+        expected = np.sign(x.T @ y) * np.maximum(1.0 - mus[:, None], 0.0)
+        np.testing.assert_array_equal(path, expected)
+
     def test_path_piecewise_continuity(self):
         rng = np.random.default_rng(4)
         x, y = random_design(rng)
@@ -177,6 +189,34 @@ class TestLassoPath:
         with pytest.raises(ValueError):
             lasso_path(np.array([[1.0], [np.nan]]), np.ones(2), np.array([1.0]))
 
+    def test_rejects_zero_column(self):
+        x = np.column_stack([np.arange(5.0) - 2.0, np.zeros(5)])
+        with pytest.raises(ValueError, match="zero column"):
+            lasso_path(x, np.arange(5.0), np.array([1.0]))
+
+    def test_penalties_in_any_order(self):
+        x, y = collinear_design(seed=3)
+        lambdas = lambda_grid(x, y, n_lambdas=60)
+        descending = lasso_path(x, y, lambdas)
+        perm = np.random.default_rng(0).permutation(lambdas.size)
+        np.testing.assert_array_equal(lasso_path(x, y, lambdas[perm]), descending[perm])
+        repeats = np.array([5, 0, 5, 59, 17, 17, 0, 59, 33])
+        np.testing.assert_array_equal(lasso_path(x, y, lambdas[repeats]), descending[repeats])
+
+    def test_batch_of_one_equals_batch_of_many(self):
+        # a problem's rows do not depend on the problems it shares a batch with,
+        # even when those take more steps or finish first
+        problems = [collinear_design(seed) for seed in range(4)]
+        problems.append(random_design(np.random.default_rng(8), n=30, k=3))
+        grams = np.stack([x.T @ x for x, _ in problems])
+        ctys = np.stack([x.T @ y for x, y in problems])
+        tops = np.max(np.abs(ctys), axis=1)
+        mus = lambda_grid(*problems[0], n_lambdas=80)[::-1] / 2.0
+        batch = _exact_path(grams, ctys, mus, tops)
+        for f in range(len(problems)):
+            alone = _exact_path(grams[f:f + 1], ctys[f:f + 1], mus, tops[f:f + 1])[0]
+            np.testing.assert_array_equal(batch[f], alone)
+
 
 class TestLassoSelect:
     def test_single_component_truth(self):
@@ -227,6 +267,16 @@ class TestLassoSelect:
                     yf = y[train] - y[train].mean()
                     worst = max(worst, scaled_kkt(xf, yf, lambdas, lasso_path(xf, yf, lambdas)))
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("n,eta", [(50, 0.5), (100, 1.0), (200, 2.0)])
+    def test_batch_matches_fold_by_fold_reference(self, monkeypatch, n, eta):
+        for seed in range(3):
+            for design, y, fold_seed in recorded_selections(monkeypatch, n, eta, seed):
+                support, diag = lasso_select(design, y, seed=fold_seed)
+                ref_support, ref_lambda, ref_cv, ref_se = lasso_cv_reference(design, y, fold_seed)
+                assert support == ref_support and diag["lambda"] == ref_lambda
+                np.testing.assert_allclose(diag["cv"], ref_cv, rtol=1e-12)
+                np.testing.assert_allclose(diag["cv_se"], ref_se, rtol=1e-12)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)

@@ -238,6 +238,27 @@ class TestMcExperiment:
             after = blas.set_blas_threads(previous)
         assert after == 2
 
+    @pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError])
+    def test_arithmetic_error_in_one_tag_is_counted(self, monkeypatch, error):
+        cfg = DgpConfig(beta_id=2, delta=0.03, eta=1.0, n=40)
+        tags = ("S", "SL", "I")
+        clean = mc_experiment([cfg], m=3, b=20, estimators=tags, seed=24).cells[0]
+        real_test = simulation.wild_bootstrap_test
+
+        def failing_test(sample, basis, tag, **kwargs):
+            if tag == "SL":
+                raise error("injected")
+            return real_test(sample, basis, tag, **kwargs)
+
+        monkeypatch.setattr(simulation, "wild_bootstrap_test", failing_test)
+        cell = mc_experiment([cfg], m=3, b=20, estimators=tags, seed=24).cells[0]
+        assert cell.failures == {"S": 0, "SL": 3, "I": 0}
+        assert np.all(np.isnan(cell.p_values["SL"])) and np.all(np.isnan(cell.msee["SL"]))
+        for tag in ("S", "I"):
+            np.testing.assert_array_equal(cell.p_values[tag], clean.p_values[tag])
+            np.testing.assert_array_equal(cell.msee[tag], clean.msee[tag])
+            assert cell.rejection[tag] == clean.rejection[tag]
+
     def test_seed_determinism(self):
         cfg = DgpConfig(beta_id=3, delta=0.01, eta=2.0, n=40)
         r1 = mc_experiment([cfg], m=4, b=25, estimators=("S",), seed=14)
