@@ -5,22 +5,10 @@ from .estimators import (
     FunctionalSlope,
     MarSample,
     ObservanceModel,
-    completed_ipw_responses,
-    estimate_complete,
-    estimate_complete_lasso,
-    estimate_imputed,
-    estimate_imputed_lasso,
-    estimate_ipw,
-    estimate_ipw_lasso,
-    estimate_simplified,
-    estimate_simplified_lasso,
     fit_observance,
     fit_slope,
-    impute_responses,
-    loocv_cutoff_simplified,
     joint_loocv_cutoffs,
     observed_pairs_basis,
-    ols_fpc_coefficients,
 )
 from .exceptions import (
     ConfigError,

@@ -1,12 +1,15 @@
 """Slope estimators for the scalar-on-function linear model with MAR responses.
 
-Six estimators are provided, combining three treatments of missing responses
-(simplified: use observed pairs only; imputed: fill them with simplified-fit
-predictions; inverse probability weighted: fill them with weights from an
-estimated observance probability) with two ways of picking FPC score columns
-(top-K by leave-one-out CV, or LASSO support with an OLS refit).
-Complete-data references C/CL are the same pipelines on fully observed
-samples.
+All eight estimators run one two-stage pipeline, `fit_slope`: a completion of
+the missing responses times a selector of FPC score columns. The first stage
+regresses the observed responses on the scores of the observed curves. The
+simplified estimators (S, SL) stop there, and the complete-data references
+(C, CL) are the same fit on fully observed samples. The imputed (I, IL) and
+inverse probability weighted (W, WL) estimators complete all n responses
+from the first stage (predictions at missing entries, or weights from an
+estimated observance probability) and select and refit in the basis of all
+n curves. The selector is top-K by leave-one-out CV (for I and W, both
+cutoffs jointly) or a LASSO support with an OLS refit, in both stages.
 
 Each regression uses the FPC basis of the curves whose pairs it fits: the
 simplified estimator decomposes the observed curves only (so its score
@@ -17,6 +20,9 @@ responses the two bases coincide and every estimator collapses to its
 complete-data counterpart.
 
 Coefficients come from ordinary least squares with an unpenalized intercept.
+A top-K fit reads its score columns as a slice (`scores[:, :k]`) and a LASSO
+support reads them by index array; reports are reproduced to the last digit
+only while each keeps that layout.
 Responses are centered once by the mean of the observed ones; per-fit
 intercepts absorb subsample selection offsets, and the global mean is added
 back for predictions and imputations.
@@ -24,7 +30,6 @@ back for predictions and imputations.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,8 +114,9 @@ class FunctionalSlope:
     simplified family, full-sample basis otherwise). `response_center` is the
     observed-response mean removed before fitting; `alpha` is the fit's own
     intercept on that centered scale (zero for full-sample fits, where score
-    columns have exactly zero mean). Two-stage fits keep their first stage in
-    `first_stage` so the bootstrap can refit the whole pipeline.
+    columns have exactly zero mean). Two-stage fits keep their first-stage fit
+    in `first_stage` (None for one-stage fits), and IPW fits their completion
+    weights in `ipw_weights`, so the bootstrap can refit the whole pipeline.
     """
 
     method_tag: str
@@ -122,7 +128,8 @@ class FunctionalSlope:
     alpha: float = 0.0
     cutoffs: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-    first_stage: dict | None = None
+    first_stage: FunctionalSlope | None = None
+    ipw_weights: np.ndarray | None = None
 
     @property
     def intercept(self) -> float:
@@ -172,31 +179,6 @@ def _lm_fit(score_cols: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return float(solution[0]), solution[1:]
 
 
-def ols_fpc_coefficients(
-    basis: FpcBasis,
-    y: np.ndarray,
-    index_set: tuple[int, ...] | np.ndarray,
-    weight_index: np.ndarray,
-) -> np.ndarray:
-    """Least-squares slope coefficients of y on the selected score columns.
-
-    `y` is a full-length response vector over the basis rows; only
-    `weight_index` rows enter the fit (with an intercept). When the basis
-    was decomposed from exactly the `weight_index` curves, its score columns
-    are orthogonal with squared norms |I| * a_k and this reduces to the
-    plug-in form b_k = sum_{i in I} y_i S_ik / (|I| a_k).
-    """
-    idx = np.asarray(index_set, dtype=int)
-    if idx.size == 0:
-        raise ValueError("index_set must be nonempty")
-    a = basis.eigenvalues[idx - 1]
-    if np.any(a <= 1e-14 * max(basis.eigenvalues[0], 1e-300)):
-        raise SingularBasisError(f"zero eigenvalue among components {tuple(idx)}")
-    rows = np.asarray(weight_index, dtype=int)
-    _, coef = _lm_fit(basis.scores[rows][:, idx - 1], np.asarray(y, dtype=float)[rows])
-    return coef
-
-
 def _loo_pieces(design: np.ndarray, y: np.ndarray):
     """Least-squares fit plus exact leave-one-out downdates.
 
@@ -240,14 +222,9 @@ def _simplified_cv_errors(ytilde, s_obs, k_eff) -> np.ndarray:
     return errors
 
 
-def _prep(sample: MarSample, basis: FpcBasis | None):
+def _check_basis(sample: MarSample, basis: FpcBasis | None):
     if basis is not None and basis.n != sample.n:
         raise GridMismatchError("basis was not computed from this sample")
-    obs = sample.observed_index
-    miss = np.flatnonzero(~sample.r)
-    ybar = sample.observed_mean
-    ytilde = sample.y_observed - ybar
-    return obs, miss, ybar, ytilde
 
 
 def _first_stage_limit(ob: FpcBasis, sample: MarSample, k_max: int | None) -> int:
@@ -257,25 +234,6 @@ def _first_stage_limit(ob: FpcBasis, sample: MarSample, k_max: int | None) -> in
     if k_eff < 1:
         raise ValueError("not enough observed pairs to fit any component")
     return k_eff
-
-
-def loocv_cutoff_simplified(
-    sample: MarSample,
-    basis: FpcBasis | None = None,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> int:
-    """Cutoff K minimizing leave-one-out error of the observed-pairs fit.
-
-    Errors within round-off of the minimum (CV_TIE_RTOL * y~'y~) tie, and
-    ties break toward the smaller K. The search range is clamped to
-    n_obs - 1 so every leave-one-out fit stays defined.
-    """
-    obs, _, _, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k_eff = _first_stage_limit(ob, sample, k_max)
-    errors = _simplified_cv_errors(ytilde, ob.scores, k_eff)
-    return _first_cv_minimum(errors, ytilde) + 1
 
 
 def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
@@ -334,7 +292,10 @@ def joint_loocv_cutoffs(
     observed_basis: FpcBasis | None = None,
 ) -> tuple[int, int]:
     """Jointly selected (K_first, K_second) for the imputed or IPW pipeline."""
-    obs, miss, _, ytilde = _prep(sample, basis)
+    _check_basis(sample, basis)
+    obs = sample.observed_index
+    miss = np.flatnonzero(~sample.r)
+    ytilde = sample.y_observed - sample.observed_mean
     ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
     k1_eff = _first_stage_limit(ob, sample, k_max)
     k2_eff = min(basis.k_max, sample.n_obs - 1)
@@ -355,91 +316,6 @@ def joint_loocv_cutoffs(
     return k1 + 1, k2 + 1
 
 
-def _make_slope(basis, tag, indices, coefficients, response_center, alpha,
-                cutoffs=None, diagnostics=None, first_stage=None):
-    cols = np.asarray(indices, dtype=int) - 1
-    curve = coefficients @ basis.eigenfunctions[cols]
-    return FunctionalSlope(
-        method_tag=tag,
-        indices=tuple(int(i) for i in indices),
-        coefficients=np.asarray(coefficients, dtype=float),
-        basis=basis,
-        curve=curve,
-        response_center=float(response_center),
-        alpha=float(alpha),
-        cutoffs=cutoffs or {},
-        diagnostics=diagnostics or {},
-        first_stage=first_stage,
-    )
-
-
-def _centered_full_response(sample: MarSample) -> np.ndarray:
-    """Full-length centered responses with zeros at unobserved entries."""
-    out = np.zeros(sample.n)
-    out[sample.observed_index] = sample.y_observed - sample.observed_mean
-    return out
-
-
-def _fit_first_stage(sample, ob, k_s, ytilde):
-    alpha1, coef1 = _lm_fit(ob.scores[:, :k_s], ytilde)
-    return {
-        "basis": ob,
-        "indices": tuple(range(1, k_s + 1)),
-        "alpha": alpha1,
-        "coefficients": coef1,
-    }
-
-
-def _first_stage_predictions(first_stage, curves: np.ndarray) -> np.ndarray:
-    """Centered-scale predictions of the first stage for arbitrary curves."""
-    cols = np.asarray(first_stage["indices"], dtype=int) - 1
-    scores = project_scores(first_stage["basis"], curves)
-    return first_stage["alpha"] + scores[:, cols] @ first_stage["coefficients"]
-
-
-def estimate_simplified(
-    sample: MarSample,
-    basis: FpcBasis | None = None,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """Observed-pairs estimator: own FPC basis, top-K cutoff by leave-one-out CV."""
-    obs, _, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k_eff = _first_stage_limit(ob, sample, k_max)
-    errors = _simplified_cv_errors(ytilde, ob.scores, k_eff)
-    k_s = _first_cv_minimum(errors, ytilde) + 1
-    indices = tuple(range(1, k_s + 1))
-    alpha, coef = _lm_fit(ob.scores[:, :k_s], ytilde)
-    return _make_slope(
-        ob, "S", indices, coef, ybar, alpha,
-        cutoffs={"K_S": k_s},
-        diagnostics={"cv_errors": errors},
-    )
-
-
-def impute_responses(sample: MarSample, slope: FunctionalSlope) -> np.ndarray:
-    """Responses completed with slope predictions at unobserved entries."""
-    out = sample.y.astype(float).copy()
-    miss = ~sample.r
-    if miss.any():
-        out[miss] = slope.predict_sample(
-            FunctionalSample(sample.x.grid, sample.x.values[miss])
-        )
-    return out
-
-
-def completed_ipw_responses(
-    sample: MarSample, slope: FunctionalSlope, observance: ObservanceModel
-) -> np.ndarray:
-    """Inverse-probability-weighted completion of the response vector."""
-    pred = slope.predict_sample(sample.x)
-    inv_p = _normalized_inverse_probabilities(sample, observance)
-    y_filled = np.where(sample.r, sample.y, 0.0)
-    return inv_p * y_filled + (1.0 - inv_p) * pred
-
-
-
 def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceModel) -> np.ndarray:
     """R_i / p_hat(X_i), Hajek-normalized to mean one over the observed rows.
 
@@ -450,164 +326,6 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     """
     inv_p = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
     return inv_p / inv_p[sample.r].mean()
-
-
-def estimate_imputed(
-    sample: MarSample,
-    basis: FpcBasis,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """Estimator refit on all n responses completed by a simplified-fit imputation."""
-    obs, miss, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k_s, k_i = joint_loocv_cutoffs(sample, basis, k_max=k_max, observed_basis=ob)
-    first = _fit_first_stage(sample, ob, k_s, ytilde)
-    completed = _centered_full_response(sample)
-    if miss.size:
-        completed[miss] = _first_stage_predictions(first, sample.x.values[miss])
-    indices = tuple(range(1, k_i + 1))
-    alpha, coef = _lm_fit(basis.scores[:, :k_i], completed)
-    return _make_slope(basis, "I", indices, coef, ybar, alpha,
-                       cutoffs={"K_S": k_s, "K_I": k_i}, first_stage=first)
-
-
-def estimate_ipw(
-    sample: MarSample,
-    basis: FpcBasis,
-    observance: ObservanceModel,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """Estimator refit on inverse-probability-weighted completed responses."""
-    obs, miss, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k_s, k_w = joint_loocv_cutoffs(
-        sample, basis, k_max=k_max, observance=observance, observed_basis=ob
-    )
-    first = _fit_first_stage(sample, ob, k_s, ytilde)
-    pred = _first_stage_predictions(first, sample.x.values)
-    inv_p = _normalized_inverse_probabilities(sample, observance)
-    completed = inv_p * _centered_full_response(sample) + (1.0 - inv_p) * pred
-    indices = tuple(range(1, k_w + 1))
-    alpha, coef = _lm_fit(basis.scores[:, :k_w], completed)
-    return _make_slope(basis, "W", indices, coef, ybar, alpha,
-                       cutoffs={"K_S": k_s, "K_W": k_w}, first_stage=first)
-
-
-def _require_fully_observed(sample: MarSample, tag: str):
-    if sample.n_obs != sample.n:
-        raise ConfigError(f"method {tag} needs fully observed responses")
-
-
-def estimate_complete(
-    sample: MarSample,
-    basis: FpcBasis,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """Complete-data FPC estimator (benchmark); requires no missing responses."""
-    _require_fully_observed(sample, "C")
-    slope = estimate_simplified(sample, basis, k_max, observed_basis=observed_basis or basis)
-    return dataclasses.replace(slope, method_tag="C")
-
-
-def estimate_simplified_lasso(
-    sample: MarSample,
-    basis: FpcBasis | None = None,
-    seed: int = 0,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """LASSO-selected support on observed pairs, coefficients refit by OLS."""
-    obs, _, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k_eff = _first_stage_limit(ob, sample, k_max)
-    indices, diag = lasso_select(ob.scores[:, :k_eff], ytilde, seed=seed)
-    alpha, coef = _lm_fit(ob.scores[:, np.asarray(indices) - 1], ytilde)
-    return _make_slope(
-        ob, "SL", indices, coef, ybar, alpha,
-        cutoffs={"indices": indices},
-        diagnostics={"lambda": diag["lambda"]},
-    )
-
-
-def estimate_imputed_lasso(
-    sample: MarSample,
-    basis: FpcBasis,
-    seed: int = 0,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """LASSO-selected estimator on responses completed by the SL fit."""
-    obs, miss, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    sl = estimate_simplified_lasso(sample, basis, seed=seed, k_max=k_max, observed_basis=ob)
-    first = {
-        "basis": ob,
-        "indices": sl.indices,
-        "alpha": sl.alpha,
-        "coefficients": sl.coefficients,
-    }
-    completed = _centered_full_response(sample)
-    if miss.size:
-        completed[miss] = _first_stage_predictions(first, sample.x.values[miss])
-    k_limit = basis.k_max if k_max is None else min(int(k_max), basis.k_max)
-    indices, diag = lasso_select(basis.scores[:, :k_limit], completed, seed=seed)
-    alpha, coef = _lm_fit(basis.scores[:, np.asarray(indices) - 1], completed)
-    return _make_slope(
-        basis, "IL", indices, coef, ybar, alpha,
-        cutoffs={"indices": indices, "first_stage": sl.indices},
-        diagnostics={"lambda": diag["lambda"]},
-        first_stage=first,
-    )
-
-
-def estimate_ipw_lasso(
-    sample: MarSample,
-    basis: FpcBasis,
-    observance: ObservanceModel,
-    seed: int = 0,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """LASSO-selected estimator on IPW-completed responses."""
-    obs, miss, ybar, ytilde = _prep(sample, basis)
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    sl = estimate_simplified_lasso(sample, basis, seed=seed, k_max=k_max, observed_basis=ob)
-    first = {
-        "basis": ob,
-        "indices": sl.indices,
-        "alpha": sl.alpha,
-        "coefficients": sl.coefficients,
-    }
-    pred = _first_stage_predictions(first, sample.x.values)
-    inv_p = _normalized_inverse_probabilities(sample, observance)
-    completed = inv_p * _centered_full_response(sample) + (1.0 - inv_p) * pred
-    k_limit = basis.k_max if k_max is None else min(int(k_max), basis.k_max)
-    indices, diag = lasso_select(basis.scores[:, :k_limit], completed, seed=seed)
-    alpha, coef = _lm_fit(basis.scores[:, np.asarray(indices) - 1], completed)
-    return _make_slope(
-        basis, "WL", indices, coef, ybar, alpha,
-        cutoffs={"indices": indices, "first_stage": sl.indices},
-        diagnostics={"lambda": diag["lambda"]},
-        first_stage=first,
-    )
-
-
-def estimate_complete_lasso(
-    sample: MarSample,
-    basis: FpcBasis,
-    seed: int = 0,
-    k_max: int | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
-    """Complete-data LASSO-selected estimator (benchmark)."""
-    _require_fully_observed(sample, "CL")
-    slope = estimate_simplified_lasso(
-        sample, basis, seed=seed, k_max=k_max, observed_basis=observed_basis or basis
-    )
-    return dataclasses.replace(slope, method_tag="CL")
 
 
 def fit_observance(
@@ -658,6 +376,28 @@ def fit_observance(
     )
 
 
+def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
+               response_center: float, **fields) -> FunctionalSlope:
+    """OLS fit, with an intercept, of y on the `indices` score columns of `basis`.
+
+    A `range` of leading components is read as a column slice, any other
+    support by index array (see the module docstring).
+    """
+    cols = np.asarray(indices, dtype=int) - 1
+    columns = basis.scores[:, :cols.size] if isinstance(indices, range) else basis.scores[:, cols]
+    alpha, coef = _lm_fit(columns, y)
+    return FunctionalSlope(
+        method_tag=tag,
+        indices=tuple(int(i) for i in indices),
+        coefficients=coef,
+        basis=basis,
+        curve=coef @ basis.eigenfunctions[cols],
+        response_center=float(response_center),
+        alpha=alpha,
+        **fields,
+    )
+
+
 def fit_slope(
     sample: MarSample,
     basis: FpcBasis,
@@ -667,24 +407,73 @@ def fit_slope(
     k_max: int | None = None,
     observed_basis: FpcBasis | None = None,
 ) -> FunctionalSlope:
-    """Fit one of the eight estimators by its method tag."""
-    method = method.upper()
-    if method in ("W", "WL") and observance is None:
+    """Fit one of the eight estimators by its method tag.
+
+    `basis` is the FPC basis of all n curves; `observed_basis` (that of the
+    observed curves) and `observance` (the p(X) fit of W and WL) are computed
+    when not given. `seed` sets the LASSO cross-validation folds and `k_max`
+    caps the number of components.
+    """
+    tag = method.upper()
+    if tag not in METHOD_TAGS:
+        raise ConfigError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
+    completion, lasso = tag[0], tag.endswith("L")
+    if completion == "C" and sample.n_obs != sample.n:
+        raise ConfigError(f"method {tag} needs fully observed responses")
+    _check_basis(sample, basis)
+    if completion == "W" and observance is None:
         observance = fit_observance(sample)
-    if method == "C":
-        return estimate_complete(sample, basis, k_max, observed_basis)
-    if method == "CL":
-        return estimate_complete_lasso(sample, basis, seed, k_max, observed_basis)
-    if method == "S":
-        return estimate_simplified(sample, basis, k_max, observed_basis)
-    if method == "SL":
-        return estimate_simplified_lasso(sample, basis, seed, k_max, observed_basis)
-    if method == "I":
-        return estimate_imputed(sample, basis, k_max, observed_basis)
-    if method == "IL":
-        return estimate_imputed_lasso(sample, basis, seed, k_max, observed_basis)
-    if method == "W":
-        return estimate_ipw(sample, basis, observance, k_max, observed_basis)
-    if method == "WL":
-        return estimate_ipw_lasso(sample, basis, observance, seed, k_max, observed_basis)
-    raise ConfigError(f"unknown method tag {method!r}; expected one of {METHOD_TAGS}")
+    ob = observed_basis
+    if ob is None:
+        ob = basis if completion == "C" else observed_pairs_basis(sample)
+    two_stage = completion in ("I", "W")
+    ybar = sample.observed_mean
+    ytilde = sample.y_observed - ybar
+
+    # first stage: the observed pairs in their own basis; for I/IL/W/WL it is
+    # the simplified fit (S or SL) with the same selector
+    first_tag = "S" + tag[1:] if two_stage else tag
+    if lasso:
+        support, diag = lasso_select(
+            ob.scores[:, :_first_stage_limit(ob, sample, k_max)], ytilde, seed=seed
+        )
+        first = _ols_slope(first_tag, ob, support, ytilde, ybar,
+                           cutoffs={"indices": support}, diagnostics={"lambda": diag["lambda"]})
+    elif two_stage:
+        k_s, k_second = joint_loocv_cutoffs(
+            sample, basis, k_max=k_max,
+            observance=observance if completion == "W" else None, observed_basis=ob,
+        )
+        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
+                           cutoffs={"K_S": k_s})
+    else:
+        errors = _simplified_cv_errors(ytilde, ob.scores, _first_stage_limit(ob, sample, k_max))
+        k_s = _first_cv_minimum(errors, ytilde) + 1
+        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
+                           cutoffs={"K_S": k_s}, diagnostics={"cv_errors": errors})
+    if not two_stage:
+        return first
+
+    # second stage: all n responses, completed from the first stage
+    completed = np.zeros(sample.n)
+    completed[sample.observed_index] = ytilde
+    ipw_weights = None
+    if completion == "I":
+        miss = np.flatnonzero(~sample.r)
+        if miss.size:
+            completed[miss] = first.predict_centered(project_scores(ob, sample.x.values[miss]))
+    else:
+        ipw_weights = _normalized_inverse_probabilities(sample, observance)
+        pred = first.predict_centered(project_scores(ob, sample.x.values))
+        completed = ipw_weights * completed + (1.0 - ipw_weights) * pred
+    if lasso:
+        k_limit = basis.k_max if k_max is None else min(int(k_max), basis.k_max)
+        indices, diag = lasso_select(basis.scores[:, :k_limit], completed, seed=seed)
+        cutoffs = {"indices": indices, "first_stage": first.indices}
+        diagnostics = {"lambda": diag["lambda"]}
+    else:
+        indices = range(1, k_second + 1)
+        cutoffs = {"K_S": k_s, f"K_{completion}": k_second}
+        diagnostics = {}
+    return _ols_slope(tag, basis, indices, completed, ybar, cutoffs=cutoffs,
+                      diagnostics=diagnostics, first_stage=first, ipw_weights=ipw_weights)

@@ -21,15 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    FunctionalSlope,
-    MarSample,
-    ObservanceModel,
-    fit_observance,
-    fit_slope,
-)
+from .estimators import FunctionalSlope, MarSample, ObservanceModel, fit_slope
 from .exceptions import GridMismatchError, NumericalError
-from .functional import FpcBasis
+from .functional import FpcBasis, project_scores
 
 #: Relative tolerance under which two score vectors count as coincident.
 SCORE_COINCIDENCE_RTOL = 1e-12
@@ -207,69 +201,57 @@ def pcvm_statistic(residual_vector: np.ndarray, a: AMatrix, n_s: int) -> float:
 
 
 def golden_section_multipliers(
-    count: int, seed: int | np.random.Generator = 0
+    shape: int | tuple[int, ...], seed: int | np.random.Generator = 0
 ) -> np.ndarray:
-    """Two-point multipliers (1 -+ sqrt(5))/2 with mean 0 and variance 1."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    """Two-point multipliers (1 -+ sqrt(5))/2 with mean 0 and variance 1.
+
+    `seed` may be a Generator, which is drawn from (and advanced) in place.
+    """
+    if np.min(shape) < 1:
+        raise ValueError("every dimension of shape must be at least 1")
     rng = np.random.default_rng(seed)
-    return np.where(rng.random(count) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
+    return np.where(rng.random(shape) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
 
 
-def _gram_inverse(design: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(design.T @ design)
+def _augmented(block: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.ones(block.shape[0]), block])
 
 
 class _FixedStructureRefitter:
     """Vectorized coefficient refits at the original fit's frozen structure.
 
     Operates on (B, n_obs) matrices of centered bootstrap responses and
-    returns the matching residual matrices. Subsample fits solve the frozen
-    normal equations; full-sample second stages do the same over all rows.
+    returns the matching residual matrices. A one-stage fit solves its frozen
+    normal equations over the observed pairs. A two-stage fit first refits
+    its first stage, completes all n responses from it (with the frozen IPW
+    weights, if any), and solves the second stage's equations over all rows.
     """
 
-    def __init__(self, sample: MarSample, slope: FunctionalSlope,
-                 observance: ObservanceModel | None):
-        from .functional import project_scores
-
-        self.method = slope.method_tag
-        self.n = sample.n
-        self.n_obs = sample.n_obs
-        self.obs = sample.observed_index
-        self.miss = np.flatnonzero(~sample.r)
-
-        def augmented(block):
-            return np.column_stack([np.ones(block.shape[0]), block])
-
+    def __init__(self, sample: MarSample, slope: FunctionalSlope):
         cols = np.asarray(slope.indices, dtype=int) - 1
-        self.d_obs_final = augmented(_observed_score_rows(sample, slope)[:, cols])
-        if self.method in ("C", "CL", "S", "SL"):
-            self.final_ginv = _gram_inverse(self.d_obs_final)
+        self.d_obs_final = _augmented(_observed_score_rows(sample, slope)[:, cols])
+        first = slope.first_stage
+        self.two_stage = first is not None
+        if first is None:
+            self.d_fit = self.d_obs_final
         else:
-            self.d_all_final = augmented(slope.basis.scores[:, cols])
-            self.final_ginv = _gram_inverse(self.d_all_final)
-            first = slope.first_stage
-            first_cols = np.asarray(first["indices"], dtype=int) - 1
-            ob = first["basis"]
-            self.d_obs_first = augmented(ob.scores[:, first_cols])
+            self.n = sample.n
+            self.obs = sample.observed_index
+            self.miss = np.flatnonzero(~sample.r)
+            self.d_fit = _augmented(slope.basis.scores[:, cols])
+            first_cols = np.asarray(first.indices, dtype=int) - 1
+            self.d_obs_first = _augmented(first.basis.scores[:, first_cols])
             if self.miss.size:
-                miss_scores = project_scores(ob, sample.x.values[self.miss])
-                self.d_miss_first = augmented(miss_scores[:, first_cols])
-            self.first_ginv = _gram_inverse(self.d_obs_first)
-        if self.method in ("W", "WL"):
-            from .estimators import _normalized_inverse_probabilities
+                miss_scores = project_scores(first.basis, sample.x.values[self.miss])
+                self.d_miss_first = _augmented(miss_scores[:, first_cols])
+            self.first_ginv = np.linalg.inv(self.d_obs_first.T @ self.d_obs_first)
+            self.inv_p_obs = None if slope.ipw_weights is None else slope.ipw_weights[self.obs]
+        self.fit_ginv = np.linalg.inv(self.d_fit.T @ self.d_fit)
 
-            self.inv_p_obs = _normalized_inverse_probabilities(sample, observance)[self.obs]
-
-    def residual_matrix(self, ystar: np.ndarray) -> np.ndarray:
-        method = self.method
-        if method in ("C", "CL", "S", "SL"):
-            coef = (ystar @ self.d_obs_final) @ self.final_ginv
-            return ystar - coef @ self.d_obs_final.T
-
+    def _completed(self, ystar: np.ndarray) -> np.ndarray:
         coef1 = (ystar @ self.d_obs_first) @ self.first_ginv
         completed = np.empty((ystar.shape[0], self.n))
-        if method in ("I", "IL"):
+        if self.inv_p_obs is None:
             completed[:, self.obs] = ystar
         else:
             pred_obs = coef1 @ self.d_obs_first.T
@@ -278,8 +260,12 @@ class _FixedStructureRefitter:
             )
         if self.miss.size:
             completed[:, self.miss] = coef1 @ self.d_miss_first.T
-        coef2 = (completed @ self.d_all_final) @ self.final_ginv
-        return ystar - coef2 @ self.d_obs_final.T
+        return completed
+
+    def residual_matrix(self, ystar: np.ndarray) -> np.ndarray:
+        target = self._completed(ystar) if self.two_stage else ystar
+        coef = (target @ self.d_fit) @ self.fit_ginv
+        return ystar - coef @ self.d_obs_final.T
 
 
 def wild_bootstrap_test(
@@ -302,19 +288,19 @@ def wild_bootstrap_test(
     A replicate producing a non-finite statistic is redrawn once, then the
     run aborts. p-value = #(observed statistic <= replicate statistic) / b.
 
-    `a_cache` may map index tuples to AMatrix objects shared across calls on
-    the same sample; `observance` may be passed to share the one-time
-    probability fit between the W and WL runs.
+    `a_cache` may map (basis kind, indices) pairs to AMatrix objects shared
+    across calls on the same sample; the kind is "own" for a fit in the
+    observed-pairs basis and "full" for one in the all-curves basis.
+    `observance` may be passed to share the one-time probability fit between
+    the W and WL runs.
     """
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")
     started = time.perf_counter()
-    method_tag = method_tag.upper()
-    if method_tag in ("W", "WL") and observance is None:
-        observance = fit_observance(sample)
     slope = fit_slope(sample, basis, method_tag, seed=seed,
                       observance=observance, k_max=k_max,
                       observed_basis=observed_basis)
+    method_tag = slope.method_tag
 
     eps = residuals(sample, slope)
     score_rows = _observed_score_rows(sample, slope)
@@ -345,10 +331,10 @@ def wild_bootstrap_test(
             elapsed_s=time.perf_counter() - started,
         )
 
-    refitter = _FixedStructureRefitter(sample, slope, observance)
+    refitter = _FixedStructureRefitter(sample, slope)
     mu = slope.predict_centered(score_rows)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
-    v = np.where(rng.random((b, n_s)) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
+    v = golden_section_multipliers((b, n_s), rng)
     ystar = mu[None, :] + v * eps[None, :]
     res = refitter.residual_matrix(ystar)
     stats = np.einsum("bl,bl->b", res @ a.values, res) / float(n_s) ** 2
@@ -356,9 +342,7 @@ def wild_bootstrap_test(
 
     bad = ~np.isfinite(stats)
     if np.any(bad):
-        v_retry = np.where(
-            rng.random((int(bad.sum()), n_s)) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH
-        )
+        v_retry = golden_section_multipliers((int(bad.sum()), n_s), rng)
         ystar_retry = mu[None, :] + v_retry * eps[None, :]
         res_retry = refitter.residual_matrix(ystar_retry)
         stats[bad] = np.einsum(

@@ -299,6 +299,10 @@ def mc_experiment(
         raise ConfigError("mc runs must be seeded")
     if m < 1:
         raise ConfigError("m must be at least 1")
+    if b < 0:
+        raise ConfigError("bootstrap count must be at least 0 (0 collects fits only)")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
     tags = tuple(t.upper() for t in estimators)
     for t in tags:
         if t not in METHOD_TAGS:

@@ -1,4 +1,9 @@
-"""Independent oracles for the projected Cramer-von Mises test and LASSO CV.
+"""Independent oracles for the estimators, the projected Cramer-von Mises test
+and LASSO CV.
+
+The estimator references refit by `lstsq` on explicit designs and complete
+responses from a slope's public predictions, sharing no code with the
+pipeline in `sofreg.estimators`.
 
 The test oracles deliberately avoid the closed-form A-matrix route:
 directions are drawn uniformly on the unit sphere of the score space, the
@@ -12,7 +17,46 @@ import math
 
 import numpy as np
 
+from sofreg.exceptions import SingularBasisError
+from sofreg.functional import FunctionalSample
 from sofreg.lasso import lambda_grid, lasso_path
+
+
+def ols_fpc_coefficients(basis, y, index_set, weight_index):
+    """Least-squares slope coefficients of y on the selected score columns.
+
+    `y` is a full-length response vector over the basis rows; only the
+    `weight_index` rows enter the fit, which carries an intercept. Raises
+    SingularBasisError when a selected component has a zero eigenvalue.
+    """
+    idx = np.asarray(index_set, dtype=int)
+    if idx.size == 0:
+        raise ValueError("index_set must be nonempty")
+    if np.any(basis.eigenvalues[idx - 1] <= 1e-14 * max(basis.eigenvalues[0], 1e-300)):
+        raise SingularBasisError(f"zero eigenvalue among components {tuple(idx)}")
+    rows = np.asarray(weight_index, dtype=int)
+    design = np.column_stack([np.ones(rows.size), basis.scores[np.ix_(rows, idx - 1)]])
+    return np.linalg.lstsq(design, np.asarray(y, dtype=float)[rows], rcond=None)[0][1:]
+
+
+def impute_responses(sample, slope):
+    """Responses completed with slope predictions at unobserved entries."""
+    out = sample.y.astype(float).copy()
+    miss = ~sample.r
+    if miss.any():
+        out[miss] = slope.predict_sample(FunctionalSample(sample.x.grid, sample.x.values[miss]))
+    return out
+
+
+def completed_ipw_responses(sample, slope, observance):
+    """Inverse-probability-weighted completion of the response vector.
+
+    Weights are R_i / p(X_i) scaled to mean one over the observed rows.
+    """
+    weights = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
+    weights /= weights[sample.r].mean()
+    y_filled = np.where(sample.r, sample.y, 0.0)
+    return weights * y_filled + (1.0 - weights) * slope.predict_sample(sample.x)
 
 
 def sphere_area(dim: int) -> float:

@@ -12,16 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import GRID, make_mar_dataset
-from oracles import mc_a_matrix, mc_pcvm_statistic
+from oracles import mc_a_matrix, mc_pcvm_statistic, ols_fpc_coefficients
 from sofreg.cli import main as cli_main
-from sofreg.estimators import (
-    MarSample,
-    estimate_complete,
-    estimate_complete_lasso,
-    fit_observance,
-    fit_slope,
-    ols_fpc_coefficients,
-)
+from sofreg.estimators import MarSample, fit_observance, fit_slope
 from sofreg.functional import fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
@@ -220,8 +213,8 @@ class TestCriterion8InvariantSuites:
                                             seed=ACCEPTANCE_SEED)
         model = fit_observance(sample)
         worst = 0.0
-        c = estimate_complete(sample, basis)
-        cl = estimate_complete_lasso(sample, basis, seed=3)
+        c = fit_slope(sample, basis, "C")
+        cl = fit_slope(sample, basis, "CL", seed=3)
         s = fit_slope(sample, basis, "S")
         assert s.indices == c.indices
         worst = max(worst, float(np.max(np.abs(s.coefficients - c.coefficients))))

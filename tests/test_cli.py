@@ -233,6 +233,14 @@ class TestMc:
         assert code == 3
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bootstrap, alpha", [(-3, 0.05), (20, 1.5)])
+    def test_rejects_out_of_range_bootstrap_and_alpha(self, tmp_path, bootstrap, alpha):
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
+                    "--bootstrap", bootstrap, "--alpha", alpha, "--seed", 9,
+                    "--threads", 1, "--estimators", "S", "--out", out]) == 3
+        assert not (out / "report.json").exists()
+
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "mc.cfg"
         cfg.write_text(

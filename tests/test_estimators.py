@@ -2,25 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
+from oracles import completed_ipw_responses, impute_responses, ols_fpc_coefficients
 from sofreg.estimators import (
     MarSample,
     ObservanceModel,
-    completed_ipw_responses,
-    estimate_complete,
-    estimate_complete_lasso,
-    estimate_imputed,
-    estimate_imputed_lasso,
-    estimate_ipw,
-    estimate_ipw_lasso,
-    estimate_simplified,
-    estimate_simplified_lasso,
     fit_observance,
     fit_slope,
-    impute_responses,
     joint_loocv_cutoffs,
-    loocv_cutoff_simplified,
     observed_pairs_basis,
-    ols_fpc_coefficients,
 )
 from sofreg.exceptions import ConfigError, DegenerateSampleError, SingularBasisError
 from sofreg.functional import FunctionalSample, fpc_decompose, project_scores
@@ -120,18 +109,15 @@ class TestOlsCoefficients:
 class TestSimplifiedCutoff:
     def test_noiseless_first_component(self):
         sample, basis = make_score_linear_sample({1: 1.0}, n=40, seed=4)
-        assert loocv_cutoff_simplified(sample, basis) == 1
+        assert fit_slope(sample, basis, "S").cutoffs["K_S"] == 1
 
     def test_matches_brute_force(self):
         sample, basis, _ = make_mar_dataset(n=25, beta_id=3, eta=1.0, seed=5)
         ob = observed_pairs_basis(sample)
-        from sofreg.estimators import _simplified_cv_errors
-
-        k_eff = min(ob.k_max, sample.n_obs - 1)
-        yt = sample.y_observed - sample.observed_mean
-        fast = _simplified_cv_errors(yt, ob.scores, k_eff)
-        brute = brute_simplified_cv(sample, ob, k_eff)
-        np.testing.assert_allclose(fast, brute, rtol=1e-9)
+        slope = fit_slope(sample, basis, "S", observed_basis=ob)
+        brute = brute_simplified_cv(sample, ob, min(ob.k_max, sample.n_obs - 1))
+        np.testing.assert_allclose(slope.diagnostics["cv_errors"], brute, rtol=1e-9)
+        assert slope.cutoffs["K_S"] == int(np.argmin(brute)) + 1
 
     def test_pure_noise_prefers_one_component(self):
         wins = 0
@@ -141,7 +127,7 @@ class TestSimplifiedCutoff:
             basis = fpc_decompose(x)
             y = rng.normal(size=50)
             sample = MarSample(x, y, np.ones(50, dtype=bool))
-            wins += loocv_cutoff_simplified(sample, basis) == 1
+            wins += fit_slope(sample, basis, "S").cutoffs["K_S"] == 1
         assert wins > 50
 
 
@@ -177,14 +163,14 @@ class TestJointCutoffs:
 class TestSimplifiedEstimator:
     def test_no_missing_equals_complete(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=1, eta=None, seed=8)
-        s = estimate_simplified(sample, basis)
-        c = estimate_complete(sample, basis)
+        s = fit_slope(sample, basis, "S")
+        c = fit_slope(sample, basis, "C")
         assert s.indices == c.indices
         np.testing.assert_allclose(s.coefficients, c.coefficients, atol=1e-12)
 
     def test_noiseless_full_sample_recovery(self):
         sample, basis = make_score_linear_sample({1: 2.0, 2: -1.0}, n=60, seed=9)
-        slope = estimate_simplified(sample, basis)
+        slope = fit_slope(sample, basis, "S")
         for k, target in ((1, 2.0), (2, -1.0)):
             if k in slope.indices:
                 assert slope.coefficients[slope.indices.index(k)] == pytest.approx(
@@ -203,7 +189,7 @@ class TestSimplifiedEstimator:
         y = np.full(120, np.nan)
         y[obs] = 2.0 * ob.scores[:, 0] - ob.scores[:, 1]
         sample = MarSample(x, y, r)
-        slope = estimate_simplified(sample, basis=None)
+        slope = fit_slope(sample, None, "S")
         coef = dict(zip(slope.indices, slope.coefficients))
         assert coef[1] == pytest.approx(2.0, abs=1e-6)
         if 2 in coef:
@@ -220,8 +206,8 @@ class TestSimplifiedEstimator:
                 n=50, beta_id=3, eta=0.5, sigma_eps=0.1, seed=200 + seed
             )
             full = MarSample(sample.x, y_full, np.ones(50, dtype=bool))
-            s = estimate_simplified(sample, basis)
-            c = estimate_complete(full, basis)
+            s = fit_slope(sample, basis, "S")
+            c = fit_slope(full, basis, "C")
             worse += mse_estimation(beta, s) > mse_estimation(beta, c)
             total += 1
         assert worse > total / 2
@@ -230,7 +216,7 @@ class TestSimplifiedEstimator:
 class TestImputation:
     def test_all_observed_unchanged(self):
         sample, basis, _ = make_mar_dataset(n=30, beta_id=2, eta=None, seed=11)
-        slope = estimate_simplified(sample, basis)
+        slope = fit_slope(sample, basis, "S")
         np.testing.assert_array_equal(impute_responses(sample, slope), sample.y)
 
     def test_mostly_missing_uses_predictions(self):
@@ -238,7 +224,7 @@ class TestImputation:
         r = np.zeros(20, dtype=bool)
         r[[3, 11]] = True
         masked = MarSample(sample.x, np.where(r, sample.y, np.nan), r)
-        slope = estimate_simplified(masked, basis)
+        slope = fit_slope(masked, basis, "S")
         completed = impute_responses(masked, slope)
         preds = slope.predict_sample(masked.x)
         np.testing.assert_array_equal(completed[r], masked.y[r])
@@ -251,7 +237,7 @@ class TestImputation:
             miss = ~sample.r
             if miss.sum() < 3:
                 continue
-            slope = estimate_simplified(sample, basis)
+            slope = fit_slope(sample, basis, "S")
             completed = impute_responses(sample, slope)
             corr.append(np.corrcoef(completed[miss], y_full[miss])[0, 1])
         assert np.mean(corr) > 0
@@ -260,7 +246,7 @@ class TestImputation:
 class TestImputedEstimator:
     def test_no_missing_matches_complete_at_equal_cutoff(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=1, eta=None, seed=13)
-        imputed = estimate_imputed(sample, basis)
+        imputed = fit_slope(sample, basis, "I")
         reference = ols_fpc_coefficients(
             basis, sample.y - sample.observed_mean, imputed.indices, np.arange(sample.n)
         )
@@ -268,7 +254,7 @@ class TestImputedEstimator:
 
     def test_noiseless_full_sample_recovery(self):
         sample, basis = make_score_linear_sample({1: 2.0, 2: -1.0}, n=60, seed=14)
-        slope = estimate_imputed(sample, basis)
+        slope = fit_slope(sample, basis, "I")
         coef = dict(zip(slope.indices, slope.coefficients))
         assert coef[1] == pytest.approx(2.0, abs=1e-6)
         if 2 in coef:
@@ -282,9 +268,33 @@ class TestImputedEstimator:
         msee_s, msee_i = [], []
         for seed in range(100):
             sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=0.5, seed=400 + seed)
-            msee_s.append(mse_estimation(beta, estimate_simplified(sample, basis)))
-            msee_i.append(mse_estimation(beta, estimate_imputed(sample, basis)))
+            msee_s.append(mse_estimation(beta, fit_slope(sample, basis, "S")))
+            msee_i.append(mse_estimation(beta, fit_slope(sample, basis, "I")))
         assert np.mean(msee_i) < np.mean(msee_s)
+
+
+class TestSecondStage:
+    @pytest.mark.parametrize("tag", ["I", "IL", "W", "WL"])
+    def test_refits_the_oracle_completion_of_its_first_stage(self, tag):
+        sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=27)
+        assert sample.n_obs < sample.n
+        model = fit_observance(sample)
+        slope = fit_slope(sample, basis, tag, seed=6, observance=model)
+        first = slope.first_stage
+        assert first.first_stage is None and first.basis.n == sample.n_obs
+        np.testing.assert_allclose(
+            first.coefficients,
+            ols_fpc_coefficients(first.basis, sample.y_observed, first.indices,
+                                 np.arange(sample.n_obs)),
+            rtol=1e-9, atol=1e-10,
+        )
+        if tag.startswith("I"):
+            assert slope.ipw_weights is None
+            completed = impute_responses(sample, first)
+        else:
+            completed = completed_ipw_responses(sample, first, model)
+        reference = ols_fpc_coefficients(basis, completed, slope.indices, np.arange(sample.n))
+        np.testing.assert_allclose(slope.coefficients, reference, rtol=1e-9, atol=1e-10)
 
 
 class TestObservance:
@@ -338,7 +348,7 @@ class TestIpwEstimator:
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=None, seed=18)
         model = fit_observance(sample)
         np.testing.assert_allclose(model.fitted_probabilities, 1.0)
-        w = estimate_ipw(sample, basis, model)
+        w = fit_slope(sample, basis, "W", observance=model)
         reference = ols_fpc_coefficients(
             basis, sample.y - sample.observed_mean, w.indices, np.arange(sample.n)
         )
@@ -349,14 +359,14 @@ class TestIpwEstimator:
         r = np.ones(30, dtype=bool)
         r[7] = False
         masked = MarSample(sample.x, np.where(r, y, np.nan), r)
-        slope = estimate_simplified(masked, basis)
+        slope = fit_slope(masked, basis, "S")
         model = fit_observance(masked)
         completed = completed_ipw_responses(masked, slope, model)
         assert completed[7] == pytest.approx(slope.predict_sample(masked.x)[7])
 
     def test_ipw_collapse_to_imputed_when_p_is_one(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=3, eta=0.5, seed=20)
-        slope = estimate_simplified(sample, basis)
+        slope = fit_slope(sample, basis, "S")
         forced = ObservanceModel(
             bandwidth=1.0, fitted_probabilities=np.ones(sample.n), eps_p=0.05
         )
@@ -368,19 +378,19 @@ class TestIpwEstimator:
 class TestLassoEstimators:
     def test_no_missing_all_collapse_to_complete_lasso(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=1, eta=None, seed=21)
-        cl = estimate_complete_lasso(sample, basis, seed=11)
+        cl = fit_slope(sample, basis, "CL", seed=11)
         model = fit_observance(sample)
         for fitted in (
-            estimate_simplified_lasso(sample, basis, seed=11),
-            estimate_imputed_lasso(sample, basis, seed=11),
-            estimate_ipw_lasso(sample, basis, model, seed=11),
+            fit_slope(sample, basis, "SL", seed=11),
+            fit_slope(sample, basis, "IL", seed=11),
+            fit_slope(sample, basis, "WL", seed=11, observance=model),
         ):
             assert fitted.indices == cl.indices
             np.testing.assert_allclose(fitted.coefficients, cl.coefficients, atol=1e-10)
 
     def test_noiseless_two_component_truth(self):
         sample, basis = make_score_linear_sample({1: 2.0, 2: -1.0}, n=80, seed=22)
-        slope = estimate_simplified_lasso(sample, basis, seed=0)
+        slope = fit_slope(sample, basis, "SL", seed=0)
         assert set(slope.indices) == {1, 2}
         coef = dict(zip(slope.indices, slope.coefficients))
         assert coef[1] == pytest.approx(2.0, abs=1e-6)
@@ -412,8 +422,8 @@ class TestDegenerateMarReduction:
     def test_all_estimators_collapse_without_missingness(self):
         sample, basis, _ = make_mar_dataset(n=60, beta_id=2, eta=None, seed=24)
         model = fit_observance(sample)
-        c = estimate_complete(sample, basis)
-        s = estimate_simplified(sample, basis)
+        c = fit_slope(sample, basis, "C")
+        s = fit_slope(sample, basis, "S")
         assert s.indices == c.indices
         np.testing.assert_allclose(s.coefficients, c.coefficients, atol=1e-10)
         for tag in ("I", "W"):
@@ -422,7 +432,7 @@ class TestDegenerateMarReduction:
                 basis, sample.y - sample.observed_mean, slope.indices, np.arange(sample.n)
             )
             np.testing.assert_allclose(slope.coefficients, reference, atol=1e-10)
-        cl = estimate_complete_lasso(sample, basis, seed=3)
+        cl = fit_slope(sample, basis, "CL", seed=3)
         for tag in ("SL", "IL", "WL"):
             slope = fit_slope(sample, basis, tag, seed=3, observance=model)
             assert slope.indices == cl.indices
@@ -445,4 +455,4 @@ class TestDeterminism:
         if sample.n_obs == sample.n:
             pytest.skip("draw produced no missing entries")
         with pytest.raises(ConfigError):
-            estimate_complete(sample, basis)
+            fit_slope(sample, basis, "C")

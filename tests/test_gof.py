@@ -8,8 +8,8 @@ from oracles import case_table_a_matrix, mc_a_matrix, mc_pcvm_statistic
 from sofreg.estimators import (
     METHOD_TAGS,
     MarSample,
-    estimate_simplified,
     fit_observance,
+    fit_slope,
     observed_pairs_basis,
 )
 from sofreg.exceptions import GridMismatchError
@@ -18,6 +18,7 @@ from sofreg.gof import (
     GOLDEN_HIGH,
     GOLDEN_LOW,
     GOLDEN_P_LOW,
+    _FixedStructureRefitter,
     build_a_matrix,
     golden_section_multipliers,
     pcvm_statistic,
@@ -30,7 +31,7 @@ from sofreg.simulation import gen_ou_sample
 class TestResiduals:
     def test_noiseless_fit_gives_zero_residuals(self):
         sample, basis = make_score_linear_sample({1: 2.0}, n=40, seed=0)
-        slope = estimate_simplified(sample, basis)
+        slope = fit_slope(sample, basis, "S")
         eps = residuals(sample, slope)
         assert np.max(np.abs(eps)) < 1e-8
 
@@ -38,7 +39,7 @@ class TestResiduals:
         import dataclasses
 
         sample, basis, _ = make_mar_dataset(n=30, beta_id=2, eta=1.0, seed=1)
-        slope = estimate_simplified(sample, basis)
+        slope = fit_slope(sample, basis, "S")
         zeroed = dataclasses.replace(
             slope,
             coefficients=np.zeros_like(slope.coefficients),
@@ -54,9 +55,7 @@ class TestResiduals:
         sds = []
         for seed in range(100):
             sample, basis, _ = make_mar_dataset(n=100, beta_id=3, eta=1.0, seed=100 + seed)
-            from sofreg.estimators import estimate_imputed
-
-            slope = estimate_imputed(sample, basis)
+            slope = fit_slope(sample, basis, "I")
             sds.append(residuals(sample, slope).std())
         assert 0.08 <= float(np.mean(sds)) <= 0.15
 
@@ -240,6 +239,21 @@ class TestGoldenMultipliers:
             golden_section_multipliers(0)
 
 
+class TestFixedStructureRefitter:
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_unit_multipliers_reproduce_the_fit(self, tag):
+        # all multipliers equal to 1 make y* the observed centred responses,
+        # whose refit at the frozen structure is the fit itself
+        eta = None if tag in ("C", "CL") else 1.0
+        sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=eta, delta=0.03, seed=31)
+        assert (sample.n_obs < sample.n) == (eta is not None)
+        slope = fit_slope(sample, basis, tag, seed=4)
+        ytilde = sample.y_observed - sample.observed_mean
+        refit = _FixedStructureRefitter(sample, slope).residual_matrix(ytilde[None, :])[0]
+        expected = residuals(sample, slope)
+        assert np.linalg.norm(refit - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestWildBootstrap:
     def test_degenerate_noiseless_data(self):
         sample, basis = make_score_linear_sample({1: 1.5}, n=40, seed=13)
@@ -270,6 +284,36 @@ class TestWildBootstrap:
         assert result.bootstrap_statistics.shape == (b,)
         assert result.p_value == count / b
         assert result.p_value == round(result.p_value * b) / b
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           a=st.one_of(st.builds(lambda k, sign: sign * 2.0**k, st.integers(-6, 6),
+                                 st.sampled_from((-1.0, 1.0))),
+                       st.just(1e3)),
+           c=st.floats(-1e3, 1e3))
+    def test_property_response_affine_equivariance(self, seed, a, c):
+        # y -> a y + c keeps every selection and p-value, scales the
+        # coefficients by a and maps the intercept b0 to a b0 + c
+        sample, basis, y_full = make_mar_dataset(n=30, beta_id=1 + seed % 3, eta=1.0,
+                                                 delta=0.03 * (seed % 2), seed=seed)
+        full = MarSample(sample.x, y_full, np.ones(sample.n, dtype=bool))
+        model = fit_observance(sample)
+        for tag in METHOD_TAGS:
+            target = full if tag in ("C", "CL") else sample
+            mapped = MarSample(target.x, a * target.y + c, target.r)
+            kwargs = {"seed": seed, "observance": None if target is full else model}
+            slope = fit_slope(target, basis, tag, **kwargs)
+            image = fit_slope(mapped, basis, tag, **kwargs)
+            assert image.indices == slope.indices
+            assert image.cutoffs == slope.cutoffs
+            scale = abs(a) * np.abs(slope.coefficients).max()
+            np.testing.assert_allclose(image.coefficients, a * slope.coefficients,
+                                       rtol=1e-10, atol=1e-10 * scale)
+            y_scale = abs(a) * np.abs(target.y_observed).max() + abs(c)
+            assert image.intercept == pytest.approx(a * slope.intercept + c,
+                                                    rel=1e-10, abs=1e-10 * y_scale)
+            test = wild_bootstrap_test(target, basis, tag, b=19, **kwargs)
+            assert wild_bootstrap_test(mapped, basis, tag, b=19, **kwargs).p_value == test.p_value
 
     def test_end_to_end_determinism(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=15)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sofreg import blas, simulation
-from sofreg.estimators import estimate_complete, MarSample
+from sofreg.estimators import MarSample, fit_slope
 from sofreg.exceptions import ConfigError, GridMismatchError
 from sofreg.functional import Grid, fpc_decompose, norm
 from sofreg.simulation import (
@@ -114,7 +114,7 @@ class TestMseEstimation:
         from conftest import make_mar_dataset
 
         sample, basis, y = make_mar_dataset(n=30, beta_id=1, eta=None, seed=7)
-        slope = estimate_complete(sample, basis)
+        slope = fit_slope(sample, basis, "C")
         import dataclasses
 
         perfect = dataclasses.replace(slope, curve=beta_curve(1, GRID))
@@ -124,7 +124,7 @@ class TestMseEstimation:
         from conftest import make_mar_dataset
 
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=None, seed=8)
-        slope = estimate_complete(sample, basis)
+        slope = fit_slope(sample, basis, "C")
         import dataclasses
 
         shifted = dataclasses.replace(slope, curve=beta_curve(1, GRID) + 1.0)
@@ -135,7 +135,7 @@ class TestMseEstimation:
         from conftest import make_mar_dataset
 
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=None, seed=9)
-        slope = estimate_complete(sample, basis)
+        slope = fit_slope(sample, basis, "C")
         import dataclasses
 
         zeroed = dataclasses.replace(slope, curve=np.zeros(201))
@@ -145,7 +145,7 @@ class TestMseEstimation:
         from conftest import make_mar_dataset
 
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=None, seed=10)
-        slope = estimate_complete(sample, basis)
+        slope = fit_slope(sample, basis, "C")
         with pytest.raises(GridMismatchError):
             mse_estimation(np.zeros(100), slope)
 
