@@ -52,7 +52,10 @@ def _default_threads() -> int:
     """SOFREG_THREADS, else the cores this process may run on."""
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
@@ -242,7 +245,9 @@ def cmd_mc(args) -> int:
     b = pick("bootstrap", args.bootstrap, FULL_B if args.full_scale else SCALED_B)
     alpha = pick("alpha", args.alpha, 0.05)
     seed = pick("seed", args.seed, None)
-    threads = pick("threads", args.threads, _default_threads())
+    threads = pick("threads", args.threads, None)
+    if threads is None:
+        threads = _default_threads()
     grid_points = pick("grid_points", None, 201)
     sigma_eps = pick("sigma_eps", None, 0.1)
     if seed is None:

@@ -141,11 +141,6 @@ class FunctionalSlope:
         cols = np.asarray(self.indices) - 1
         return self.alpha + scores[:, cols] @ self.coefficients
 
-    def fitted_values(self, scores: np.ndarray | None = None) -> np.ndarray:
-        """Raw-scale predictions for the rows of this fit's own basis."""
-        s = self.basis.scores if scores is None else scores
-        return self.response_center + self.predict_centered(s)
-
     def predict_sample(self, x: FunctionalSample) -> np.ndarray:
         """Raw-scale predictions for arbitrary curves via basis projection."""
         return self.response_center + self.predict_centered(project_scores(self.basis, x.values))
@@ -157,9 +152,6 @@ class ObservanceModel:
 
     bandwidth: float
     fitted_probabilities: np.ndarray
-    eps_p: float = EPS_P
-    kernel_tag: str = "gaussian"
-    cv_errors: np.ndarray | None = None
 
 
 def _solve_normal_equations(design: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -227,10 +219,8 @@ def _check_basis(sample: MarSample, basis: FpcBasis | None):
         raise GridMismatchError("basis was not computed from this sample")
 
 
-def _first_stage_limit(ob: FpcBasis, sample: MarSample, k_max: int | None) -> int:
+def _first_stage_limit(ob: FpcBasis, sample: MarSample) -> int:
     k_eff = min(ob.k_max, sample.n_obs - 1)
-    if k_max is not None:
-        k_eff = min(k_eff, int(k_max))
     if k_eff < 1:
         raise ValueError("not enough observed pairs to fit any component")
     return k_eff
@@ -287,7 +277,6 @@ def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
 def joint_loocv_cutoffs(
     sample: MarSample,
     basis: FpcBasis,
-    k_max: int | None = None,
     observance: ObservanceModel | None = None,
     observed_basis: FpcBasis | None = None,
 ) -> tuple[int, int]:
@@ -297,10 +286,8 @@ def joint_loocv_cutoffs(
     miss = np.flatnonzero(~sample.r)
     ytilde = sample.y_observed - sample.observed_mean
     ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
-    k1_eff = _first_stage_limit(ob, sample, k_max)
+    k1_eff = _first_stage_limit(ob, sample)
     k2_eff = min(basis.k_max, sample.n_obs - 1)
-    if k_max is not None:
-        k2_eff = min(k2_eff, int(k_max))
     miss_scores_ob = (
         project_scores(ob, sample.x.values[miss]) if miss.size else np.zeros((0, ob.k_max))
     )
@@ -328,17 +315,13 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     return inv_p / inv_p[sample.r].mean()
 
 
-def fit_observance(
-    sample: MarSample,
-    eps_p: float = EPS_P,
-    bandwidth_factors: np.ndarray = BANDWIDTH_FACTORS,
-) -> ObservanceModel:
+def fit_observance(sample: MarSample) -> ObservanceModel:
     """Nadaraya-Watson fit of p(X) = P(R=1 | X) with a CV bandwidth.
 
     The kernel is exp(-u^2/2) on curve distances; candidate bandwidths are
-    `bandwidth_factors` times the median pairwise distance, scored by
-    leave-one-out squared error on the observance indicators. The fitted
-    probabilities (self term included) are clamped to [eps_p, 1].
+    the module's BANDWIDTH_FACTORS times the median pairwise distance, scored
+    by leave-one-out squared error on the observance indicators. The fitted
+    probabilities (self term included) are clamped to [EPS_P, 1].
     """
     d = np.sqrt(sample.x.pairwise_sq_distances())
     n = sample.n
@@ -353,8 +336,7 @@ def fit_observance(
     r = sample.r.astype(float)
     rbar = float(r.mean())
     best = None
-    cv_errors = np.empty(len(bandwidth_factors))
-    for pos, factor in enumerate(bandwidth_factors):
+    for factor in BANDWIDTH_FACTORS:
         h = float(factor) * med
         with np.errstate(under="ignore"):
             kernel = np.exp(-0.5 * (d / h) ** 2)
@@ -362,18 +344,15 @@ def fit_observance(
         denom = kernel.sum(axis=1) - 1.0
         loo = np.where(denom > 0.0, numer / np.maximum(denom, 1e-300), rbar)
         err = float(np.sum((r - loo) ** 2))
-        cv_errors[pos] = err
         if best is None or err < best[0]:
             best = (err, h)
     h = best[1]
     with np.errstate(under="ignore"):
         kernel = np.exp(-0.5 * (d / h) ** 2)
     fitted = (kernel @ r) / kernel.sum(axis=1)
-    fitted = np.clip(fitted, eps_p, 1.0)
+    fitted = np.clip(fitted, EPS_P, 1.0)
     fitted.setflags(write=False)
-    return ObservanceModel(
-        bandwidth=h, fitted_probabilities=fitted, eps_p=eps_p, cv_errors=cv_errors
-    )
+    return ObservanceModel(bandwidth=h, fitted_probabilities=fitted)
 
 
 def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
@@ -404,15 +383,13 @@ def fit_slope(
     method: str,
     seed: int = 0,
     observance: ObservanceModel | None = None,
-    k_max: int | None = None,
     observed_basis: FpcBasis | None = None,
 ) -> FunctionalSlope:
     """Fit one of the eight estimators by its method tag.
 
     `basis` is the FPC basis of all n curves; `observed_basis` (that of the
     observed curves) and `observance` (the p(X) fit of W and WL) are computed
-    when not given. `seed` sets the LASSO cross-validation folds and `k_max`
-    caps the number of components.
+    when not given. `seed` sets the LASSO cross-validation folds.
     """
     tag = method.upper()
     if tag not in METHOD_TAGS:
@@ -435,19 +412,19 @@ def fit_slope(
     first_tag = "S" + tag[1:] if two_stage else tag
     if lasso:
         support, diag = lasso_select(
-            ob.scores[:, :_first_stage_limit(ob, sample, k_max)], ytilde, seed=seed
+            ob.scores[:, :_first_stage_limit(ob, sample)], ytilde, seed=seed
         )
         first = _ols_slope(first_tag, ob, support, ytilde, ybar,
                            cutoffs={"indices": support}, diagnostics={"lambda": diag["lambda"]})
     elif two_stage:
         k_s, k_second = joint_loocv_cutoffs(
-            sample, basis, k_max=k_max,
+            sample, basis,
             observance=observance if completion == "W" else None, observed_basis=ob,
         )
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s})
     else:
-        errors = _simplified_cv_errors(ytilde, ob.scores, _first_stage_limit(ob, sample, k_max))
+        errors = _simplified_cv_errors(ytilde, ob.scores, _first_stage_limit(ob, sample))
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s}, diagnostics={"cv_errors": errors})
@@ -467,8 +444,7 @@ def fit_slope(
         pred = first.predict_centered(project_scores(ob, sample.x.values))
         completed = ipw_weights * completed + (1.0 - ipw_weights) * pred
     if lasso:
-        k_limit = basis.k_max if k_max is None else min(int(k_max), basis.k_max)
-        indices, diag = lasso_select(basis.scores[:, :k_limit], completed, seed=seed)
+        indices, diag = lasso_select(basis.scores, completed, seed=seed)
         cutoffs = {"indices": indices, "first_stage": first.indices}
         diagnostics = {"lambda": diag["lambda"]}
     else:

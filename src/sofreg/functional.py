@@ -1,8 +1,8 @@
-"""Discretized L2 primitives: grids, inner products, centering, and FPC bases.
+"""Discretized L2 primitives: grids, curve samples, centering, and FPC bases.
 
 Curves are vectors of values on a shared equidistant grid over [a, b]; all
-integrals are trapezoid-rule sums, so inner products reduce to fixed-weight
-dot products.
+integrals are trapezoid-rule sums, so norms, distances and score projections
+reduce to fixed-weight dot products.
 """
 
 from __future__ import annotations
@@ -57,32 +57,6 @@ class Grid:
         w[-1] *= 0.5
         return w
 
-    def matches(self, other: "Grid") -> bool:
-        return self.n_points == other.n_points and np.allclose(
-            self.points, other.points, rtol=0.0, atol=1e-12 * max(1.0, abs(self.points[-1]))
-        )
-
-
-def _as_curve(grid: Grid, f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n_points,):
-        raise GridMismatchError(
-            f"curve has {f.shape} values, grid has {grid.n_points} points"
-        )
-    return f
-
-
-def inner_product(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    """Trapezoid approximation of integral of f*g over the grid's domain."""
-    f = _as_curve(grid, f)
-    g = _as_curve(grid, g)
-    return float(np.dot(grid.quad_weights, f * g))
-
-
-def norm(grid: Grid, f: np.ndarray) -> float:
-    """L2 norm induced by :func:`inner_product`."""
-    return float(np.sqrt(max(inner_product(grid, f, f), 0.0)))
-
 
 @dataclass(frozen=True)
 class FunctionalSample:
@@ -90,7 +64,6 @@ class FunctionalSample:
 
     grid: Grid
     values: np.ndarray
-    centered: bool = False
 
     def __post_init__(self):
         vals = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -123,7 +96,7 @@ class FunctionalSample:
 def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
     """Subtract the cross-sectional mean curve; returns (centered sample, mean)."""
     mean_curve = sample.values.mean(axis=0)
-    centered = FunctionalSample(sample.grid, sample.values - mean_curve, centered=True)
+    centered = FunctionalSample(sample.grid, sample.values - mean_curve)
     return centered, mean_curve
 
 
@@ -136,7 +109,6 @@ class FpcBasis:
     eigenvalues : (K,) nonincreasing, nonnegative.
     eigenfunctions : (K, m) rows orthonormal under the grid inner product.
     scores : (n, K) projections of the centered curves on the eigenfunctions.
-    explained_variance_ratio : (K,) eigenvalue shares of the total variance.
     mean_curve : (m,) mean subtracted before decomposing.
     """
 
@@ -144,7 +116,6 @@ class FpcBasis:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     scores: np.ndarray
-    explained_variance_ratio: np.ndarray
     mean_curve: np.ndarray
 
     @property
@@ -154,11 +125,6 @@ class FpcBasis:
     @property
     def n(self) -> int:
         return self.scores.shape[0]
-
-    def reconstruct(self, n_components: int | None = None) -> np.ndarray:
-        """Centered-curve reconstruction from the first `n_components` FPCs."""
-        k = self.k_max if n_components is None else n_components
-        return self.scores[:, :k] @ self.eigenfunctions[:k]
 
 
 def project_scores(basis: FpcBasis, values: np.ndarray) -> np.ndarray:
@@ -191,22 +157,18 @@ def fpc_decompose(
         raise ValueError("var_cutoff must lie in (0, 1]")
     if sample.n < 2:
         raise DegenerateSampleError("need at least 2 curves to decompose")
-    if sample.centered:
-        centered_values = sample.values
-        mean_curve = np.zeros(sample.grid.n_points)
-    else:
-        centered_sample, mean_curve = center(sample)
-        centered_values = centered_sample.values
+    centered, mean_curve = center(sample)
 
     sqrt_w = np.sqrt(sample.grid.quad_weights)
-    scaled = centered_values * sqrt_w / np.sqrt(sample.n)
+    scaled = centered.values * sqrt_w / np.sqrt(sample.n)
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
 
     eigenvalues = s**2
-    eigenvalues[(eigenvalues > -1e-12) & (eigenvalues < 0.0)] = 0.0  # PSD round-off
     total = float(eigenvalues.sum())
+    # relative to the data's own range, so the same curves in other units
+    # decompose alike; equal constant curves can center to rounding dust
     scale = sample.values.max() - sample.values.min()
-    if total <= 1e-24 * max(1.0, scale**2):
+    if scale == 0.0 or total <= 1e-24 * scale**2:
         raise DegenerateSampleError(
             "sample covariance operator is null (all curves identical)"
         )
@@ -233,6 +195,5 @@ def fpc_decompose(
         eigenvalues=eigenvalues[:k_max],
         eigenfunctions=eigenfunctions,
         scores=scores,
-        explained_variance_ratio=ratios[:k_max],
         mean_curve=mean_curve,
     )

@@ -29,6 +29,9 @@ import numpy as np
 N_LAMBDAS = 100
 LAMBDA_MIN_RATIO = 1e-4
 
+#: Cross-validation folds of `lasso_select` (fewer when n is smaller).
+FOLDS = 10
+
 
 def lambda_max(design: np.ndarray, y: np.ndarray) -> float:
     """Smallest penalty that forces the all-zero solution (gradient bound)."""
@@ -165,24 +168,10 @@ def lasso_path(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray) -> np.nda
     return _exact_path(gram[None], cty[None], lambdas / 2.0, np.array([mu_top]))[0]
 
 
-def kkt_violation(design: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """Largest subgradient violation of the solution (0 means exact KKT)."""
-    grad = 2.0 * design.T @ (design @ beta - y)
-    active = beta != 0.0
-    viol = np.zeros_like(beta)
-    viol[active] = np.abs(grad[active] + lam * np.sign(beta[active]))
-    viol[~active] = np.maximum(np.abs(grad[~active]) - lam, 0.0)
-    return float(np.max(viol)) if beta.size else 0.0
-
-
 def lasso_select(
-    design: np.ndarray,
-    y: np.ndarray,
-    folds: int = 10,
-    seed: int | np.random.Generator = 0,
-    n_lambdas: int = N_LAMBDAS,
+    design: np.ndarray, y: np.ndarray, seed: int | np.random.Generator = 0
 ) -> tuple[tuple[int, ...], dict]:
-    """Pick the active set by K-fold CV with the one-standard-error rule.
+    """Pick the active set by FOLDS-fold CV with the one-standard-error rule.
 
     An unpenalized intercept is handled by centering y and the design
     columns on each training set (a no-op for zero-mean score designs).
@@ -193,13 +182,13 @@ def lasso_select(
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
-    folds = max(2, min(folds, n))
+    folds = max(2, min(FOLDS, n))
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(n) % folds
 
     xc = design - design.mean(axis=0)
     yc = y - y.mean()
-    lambdas = lambda_grid(xc, yc, n_lambdas)
+    lambdas = lambda_grid(xc, yc)
     if lambdas[0] <= 0.0:  # y orthogonal to every column: nothing to select
         return (1,), {"lambda": 0.0, "cv": None}
 
@@ -211,7 +200,7 @@ def lasso_select(
     y_mean = (weight @ y) / n_train
     xf = np.where(train[:, :, None], design - col_mean[:, None, :], 0.0)
     gram = xf.transpose(0, 2, 1) @ xf
-    _check_gram(gram, "a CV fold left a zero design column; reduce folds")
+    _check_gram(gram, "a CV fold left a zero design column; the LASSO path is undefined")
     cty = (xf.transpose(0, 2, 1) @ (y - y_mean[:, None])[:, :, None])[:, :, 0]
     full_gram, full_cty, full_top = _full_problem(xc, yc)
     paths = _exact_path(

@@ -213,7 +213,6 @@ class McReport:
     seed: int
     estimators: tuple[str, ...]
     cells: list[CellResult]
-    elapsed_s: float = 0.0
     grid_points: int = 201
     sigma_eps: float = 0.1
 
@@ -303,11 +302,12 @@ def mc_experiment(
         raise ConfigError("bootstrap count must be at least 0 (0 collects fits only)")
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     tags = tuple(t.upper() for t in estimators)
     for t in tags:
         if t not in METHOD_TAGS:
             raise ConfigError(f"unknown estimator tag {t!r}")
-    started = time.perf_counter()
     root = np.random.SeedSequence(seed)
     arglist = [
         (config, b, tags, s)
@@ -377,7 +377,6 @@ def mc_experiment(
         seed=seed,
         estimators=tags,
         cells=cells,
-        elapsed_s=time.perf_counter() - started,
         grid_points=configs[0].grid_points if configs else 201,
         sigma_eps=configs[0].sigma_eps if configs else 0.1,
     )

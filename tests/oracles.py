@@ -1,7 +1,8 @@
-"""Independent oracles for the estimators, the projected Cramer-von Mises test
-and LASSO CV.
+"""Independent oracles for the L2 primitives, the estimators, the projected
+Cramer-von Mises test and LASSO CV.
 
-The estimator references refit by `lstsq` on explicit designs and complete
+The L2 references (`inner_product`, `norm`, `reconstruct`) are trapezoid
+sums on a grid and a truncated score expansion. The estimator references refit by `lstsq` on explicit designs and complete
 responses from a slope's public predictions, sharing no code with the
 pipeline in `sofreg.estimators`.
 
@@ -10,16 +11,47 @@ directions are drawn uniformly on the unit sphere of the score space, the
 marked empirical process is evaluated through the projected ECDF, and the
 direction integral is the sphere surface area times the sample mean over
 draws. The LASSO oracle cross-validates fold by fold with one exact path per
-centred training fold instead of one batched path over all folds.
+centred training fold instead of one batched path over all folds, and
+`kkt_violation` measures how far a coefficient vector is from optimal. The
+Nadaraya-Watson reference scores every candidate bandwidth by an explicit
+leave-one-out loop.
 """
 
 import math
 
 import numpy as np
 
-from sofreg.exceptions import SingularBasisError
+from sofreg.estimators import BANDWIDTH_FACTORS
+from sofreg.exceptions import GridMismatchError, SingularBasisError
 from sofreg.functional import FunctionalSample
 from sofreg.lasso import lambda_grid, lasso_path
+
+
+def _as_curve(grid, f):
+    f = np.asarray(f, dtype=float)
+    if f.shape != (grid.n_points,):
+        raise GridMismatchError(
+            f"curve has {f.shape} values, grid has {grid.n_points} points"
+        )
+    return f
+
+
+def inner_product(grid, f, g):
+    """Trapezoid approximation of integral of f*g over the grid's domain."""
+    f = _as_curve(grid, f)
+    g = _as_curve(grid, g)
+    return float(np.dot(grid.quad_weights, f * g))
+
+
+def norm(grid, f):
+    """L2 norm induced by :func:`inner_product`."""
+    return float(np.sqrt(max(inner_product(grid, f, f), 0.0)))
+
+
+def reconstruct(basis, n_components=None):
+    """Centered-curve reconstruction from the first `n_components` FPCs."""
+    k = basis.k_max if n_components is None else n_components
+    return basis.scores[:, :k] @ basis.eigenfunctions[:k]
 
 
 def ols_fpc_coefficients(basis, y, index_set, weight_index):
@@ -147,6 +179,16 @@ def case_table_a_matrix(score_block):
     return out
 
 
+def kkt_violation(design, y, beta, lam):
+    """Largest subgradient violation of the solution (0 means exact KKT)."""
+    grad = 2.0 * design.T @ (design @ beta - y)
+    active = beta != 0.0
+    viol = np.zeros_like(beta)
+    viol[active] = np.abs(grad[active] + lam * np.sign(beta[active]))
+    viol[~active] = np.maximum(np.abs(grad[~active]) - lam, 0.0)
+    return float(np.max(viol)) if beta.size else 0.0
+
+
 def lasso_cv_reference(design, y, seed, folds=10):
     """Fold-by-fold 10-fold CV with the one-standard-error rule.
 
@@ -175,3 +217,34 @@ def lasso_cv_reference(design, y, seed, folds=10):
     beta = lasso_path(xc, yc, lambdas[chosen:chosen + 1])[0]
     support = tuple(int(j) + 1 for j in np.flatnonzero(beta != 0.0)) or (1,)
     return support, float(lambdas[chosen]), cv, se
+
+
+def nw_bandwidth_reference(sample):
+    """Leave-one-out CV bandwidth of the Nadaraya-Watson observance fit.
+
+    Candidates are BANDWIDTH_FACTORS times the median pairwise L2 distance
+    between curves; each is scored by the squared error of predicting every
+    indicator r_i from the other curves with the kernel exp(-u^2/2) (the
+    observed share when every weight underflows). Ties go to the first.
+    """
+    x, r = sample.x, sample.r.astype(float)
+    n = sample.n
+    dist = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i, j] = dist[j, i] = norm(x.grid, x.values[i] - x.values[j])
+    median = float(np.median(dist[np.triu_indices(n, k=1)]))
+    best_err, best_h = np.inf, None
+    for factor in BANDWIDTH_FACTORS:
+        h = float(factor) * median
+        err = 0.0
+        for i in range(n):
+            others = np.arange(n) != i
+            with np.errstate(under="ignore"):
+                weights = np.exp(-0.5 * (dist[i, others] / h) ** 2)
+            total = weights.sum()
+            p = weights @ r[others] / total if total > 0.0 else r.mean()
+            err += (r[i] - p) ** 2
+        if err < best_err:
+            best_err, best_h = err, h
+    return best_h

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import GRID, make_mar_dataset
-from oracles import mc_a_matrix, mc_pcvm_statistic, ols_fpc_coefficients
+from oracles import kkt_violation, mc_a_matrix, mc_pcvm_statistic, ols_fpc_coefficients
 from sofreg.cli import main as cli_main
 from sofreg.estimators import MarSample, fit_observance, fit_slope
 from sofreg.functional import fpc_decompose
@@ -25,7 +25,7 @@ from sofreg.gof import (
     pcvm_statistic,
     wild_bootstrap_test,
 )
-from sofreg.lasso import kkt_violation, lambda_grid, lambda_max, lasso_path
+from sofreg.lasso import lambda_grid, lambda_max, lasso_path
 from sofreg.simulation import DgpConfig, beta_curve, gen_missing, gen_ou_sample, mc_experiment
 
 ACCEPTANCE_SEED = 20250808
@@ -153,7 +153,7 @@ def test_criterion_7_oracle_equivalence():
         block = rng.normal(size=(n_s, n_k)) * rng.uniform(0.5, 2.0)
         eps = rng.normal(size=n_s)
         a = build_a_matrix(block)
-        closed = pcvm_statistic(eps, a, n_s)
+        closed = pcvm_statistic(eps, a)
         direct = mc_pcvm_statistic(block, eps, n_draws=100_000, seed=1000 + trial)
         a_mc = mc_a_matrix(block, n_draws=100_000, seed=2000 + trial)
         rel_stat = abs(closed - direct) / closed

@@ -8,6 +8,7 @@ from sofreg import cli
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.estimators import MarSample, observed_pairs_basis
+from sofreg.exceptions import ConfigError
 
 
 def run(argv):
@@ -171,6 +172,11 @@ class TestDefaultThreads:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert cli._default_threads() == 5
 
+    def test_malformed_environment_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "abc")
+        with pytest.raises(ConfigError, match=cli.THREADS_ENV):
+            cli._default_threads()
+
 
 class TestTest:
     def test_deterministic_json(self, mar_dataset, tmp_path):
@@ -239,6 +245,22 @@ class TestMc:
         assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
                     "--bootstrap", bootstrap, "--alpha", alpha, "--seed", 9,
                     "--threads", 1, "--estimators", "S", "--out", out]) == 3
+        assert not (out / "report.json").exists()
+
+    def test_threads_flag_overrides_a_malformed_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cli.THREADS_ENV, "abc")
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
+                    "--bootstrap", 10, "--seed", 9, "--threads", 1,
+                    "--estimators", "S", "--out", out]) == 0
+        assert (out / "report.json").exists()
+
+    def test_rejects_nonpositive_threads(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
+                    "--bootstrap", 10, "--seed", 9, "--threads", -5,
+                    "--estimators", "S", "--out", out]) == 3
+        assert "threads" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
     def test_config_file_and_flag_override(self, tmp_path):

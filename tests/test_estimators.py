@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+import sofreg.estimators
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
-from oracles import completed_ipw_responses, impute_responses, ols_fpc_coefficients
+from oracles import (
+    completed_ipw_responses,
+    impute_responses,
+    nw_bandwidth_reference,
+    ols_fpc_coefficients,
+)
 from sofreg.estimators import (
+    EPS_P,
     MarSample,
     ObservanceModel,
     fit_observance,
@@ -303,15 +310,16 @@ class TestObservance:
         model = fit_observance(sample)
         np.testing.assert_allclose(model.fitted_probabilities, 1.0)
 
-    def test_tiny_bandwidth_recovers_indicators(self):
+    def test_tiny_bandwidth_recovers_indicators(self, monkeypatch):
         sample, basis, y = make_mar_dataset(n=40, beta_id=2, eta=None, seed=16)
         sq = sample.x.sq_norms()
         r = sq >= np.median(sq)
         r[np.argsort(sq)[-2:]] = True
         masked = MarSample(sample.x, np.where(r, y, np.nan), r)
-        model = fit_observance(masked, bandwidth_factors=np.array([1e-3]))
+        monkeypatch.setattr(sofreg.estimators, "BANDWIDTH_FACTORS", np.array([1e-3]))
+        model = fit_observance(masked)
         fitted = model.fitted_probabilities
-        np.testing.assert_allclose(fitted, np.clip(r.astype(float), model.eps_p, 1.0), atol=1e-6)
+        np.testing.assert_allclose(fitted, np.clip(r.astype(float), EPS_P, 1.0), atol=1e-6)
 
     def test_degenerate_sample_raises(self):
         values = np.tile(np.sin(GRID.points), (5, 1))
@@ -323,8 +331,14 @@ class TestObservance:
     def test_probabilities_clamped(self):
         sample, basis, _ = make_mar_dataset(n=60, beta_id=3, eta=0.5, seed=17)
         model = fit_observance(sample)
-        assert np.all(model.fitted_probabilities >= model.eps_p)
+        assert np.all(model.fitted_probabilities >= EPS_P)
         assert np.all(model.fitted_probabilities <= 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bandwidth_matches_brute_force(self, seed):
+        sample, _, _ = make_mar_dataset(n=50, beta_id=1 + seed % 3, eta=1.0, seed=seed)
+        reference = nw_bandwidth_reference(sample)
+        assert fit_observance(sample).bandwidth == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.slow
     def test_mean_absolute_error_against_logistic_truth(self):
@@ -367,9 +381,7 @@ class TestIpwEstimator:
     def test_ipw_collapse_to_imputed_when_p_is_one(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=3, eta=0.5, seed=20)
         slope = fit_slope(sample, basis, "S")
-        forced = ObservanceModel(
-            bandwidth=1.0, fitted_probabilities=np.ones(sample.n), eps_p=0.05
-        )
+        forced = ObservanceModel(bandwidth=1.0, fitted_probabilities=np.ones(sample.n))
         ipw = completed_ipw_responses(sample, slope, forced)
         imp = impute_responses(sample, slope)
         np.testing.assert_allclose(ipw, imp, atol=1e-12)

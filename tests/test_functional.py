@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
+from oracles import inner_product, norm, reconstruct
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
-from sofreg.functional import (
-    FunctionalSample,
-    Grid,
-    center,
-    fpc_decompose,
-    inner_product,
-    norm,
-)
+from sofreg.functional import FunctionalSample, Grid, center, fpc_decompose
 
 GRID = Grid.regular(0.0, 1.0, 201)
 T = GRID.points
@@ -103,6 +97,25 @@ class TestFpcDecompose:
         with pytest.raises(DegenerateSampleError):
             fpc_decompose(sample)
 
+    @pytest.mark.parametrize("value", [0.0, 0.1])
+    def test_equal_constant_curves_raise(self, value):
+        # seven copies of 0.1 center to rounding dust, not to zero
+        with pytest.raises(DegenerateSampleError):
+            fpc_decompose(FunctionalSample(GRID, np.full((7, GRID.n_points), value)))
+
+    def test_curves_in_small_units(self):
+        from sofreg.simulation import gen_ou_sample
+
+        sample = gen_ou_sample(60, GRID, seed=5)
+        scale = 2.0**-45  # about 3e-14; powers of two rescale exactly
+        base = fpc_decompose(sample)
+        small = fpc_decompose(FunctionalSample(GRID, scale * sample.values))
+        assert small.k_max == base.k_max
+        np.testing.assert_allclose(small.eigenfunctions, base.eigenfunctions,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(small.scores, scale * base.scores,
+                                   rtol=1e-12, atol=1e-12 * scale)
+
     def test_plus_minus_pair(self):
         f = np.sin(2 * np.pi * T)
         f = f / norm(GRID, f)
@@ -163,7 +176,7 @@ class TestBasisInvariants:
         w = GRID.quad_weights
         errors = []
         for k in range(1, basis.k_max + 1):
-            resid = centered - basis.reconstruct(k)
+            resid = centered - reconstruct(basis, k)
             errors.append(float(np.sum((resid**2) @ w)))
         assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(errors, errors[1:]))
 

@@ -183,22 +183,22 @@ class TestAMatrix:
 class TestPcvmStatistic:
     def test_zero_residuals(self):
         a = build_a_matrix(np.arange(6.0).reshape(6, 1))
-        assert pcvm_statistic(np.zeros(6), a, 6) == 0.0
+        assert pcvm_statistic(np.zeros(6), a) == 0.0
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(7)
         block = rng.normal(size=(10, 2))
         eps = rng.normal(size=10)
         a = build_a_matrix(block)
-        base = pcvm_statistic(eps, a, 10)
-        assert pcvm_statistic(3.0 * eps, a, 10) == pytest.approx(9.0 * base, rel=1e-12)
+        base = pcvm_statistic(eps, a)
+        assert pcvm_statistic(3.0 * eps, a) == pytest.approx(9.0 * base, rel=1e-12)
 
     def test_matches_projection_integral_oracle(self):
         rng = np.random.default_rng(8)
         block = rng.normal(size=(20, 2))
         eps = rng.normal(size=20)
         a = build_a_matrix(block)
-        closed = pcvm_statistic(eps, a, 20)
+        closed = pcvm_statistic(eps, a)
         direct = mc_pcvm_statistic(block, eps, n_draws=100_000, seed=9)
         assert abs(closed - direct) / closed < 0.02
 
@@ -206,15 +206,15 @@ class TestPcvmStatistic:
         rng = np.random.default_rng(9)
         block = rng.normal(size=(15, 2))
         eps = rng.normal(size=15)
-        stat = pcvm_statistic(eps, build_a_matrix(block), 15)
+        stat = pcvm_statistic(eps, build_a_matrix(block))
         perm = rng.permutation(15)
-        stat_p = pcvm_statistic(eps[perm], build_a_matrix(block[perm]), 15)
+        stat_p = pcvm_statistic(eps[perm], build_a_matrix(block[perm]))
         assert stat_p == pytest.approx(stat, rel=1e-10)
 
     def test_dimension_mismatch(self):
         a = build_a_matrix(np.arange(5.0).reshape(5, 1))
         with pytest.raises(GridMismatchError):
-            pcvm_statistic(np.zeros(4), a, 4)
+            pcvm_statistic(np.zeros(4), a)
 
 
 class TestGoldenMultipliers:
@@ -261,6 +261,18 @@ class TestWildBootstrap:
         assert result.statistic == 0.0
         assert np.all(result.bootstrap_statistics == 0.0)
         assert result.p_value == 1.0
+
+    def test_responses_in_small_units_are_still_tested(self):
+        # a power of two rescales every residual and statistic exactly, so
+        # only an absolute floor could change the outcome
+        sample, basis, _ = make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.03, seed=5)
+        scale = 2.0**-37  # about 7e-12
+        small = MarSample(sample.x, scale * sample.y, sample.r)
+        base = wild_bootstrap_test(sample, basis, "S", b=200, seed=1)
+        result = wild_bootstrap_test(small, basis, "S", b=200, seed=1)
+        assert base.statistic > 0.0
+        assert result.statistic == pytest.approx(scale**2 * base.statistic, rel=1e-12)
+        assert result.p_value == base.p_value
 
     def test_p_value_granularity(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)

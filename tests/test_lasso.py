@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 import sofreg.estimators
 from conftest import make_mar_dataset
-from oracles import lasso_cv_reference
+from oracles import kkt_violation, lasso_cv_reference
 from sofreg.estimators import fit_observance, fit_slope, observed_pairs_basis
 from sofreg.lasso import (
     _exact_path,
-    kkt_violation,
     lambda_grid,
     lambda_max,
     lasso_path,

@@ -6,7 +6,7 @@ import pytest
 from sofreg import blas, simulation
 from sofreg.estimators import MarSample, fit_slope
 from sofreg.exceptions import ConfigError, GridMismatchError
-from sofreg.functional import Grid, fpc_decompose, norm
+from sofreg.functional import Grid, fpc_decompose
 from sofreg.simulation import (
     DgpConfig,
     beta_curve,
