@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -353,13 +354,23 @@ def cmd_mc(args) -> int:
     )
     manifest["timing"] = timing
     dump_json(os.path.join(out, "manifest.json"), manifest)
+    if report.reruns:
+        print(f"warning: a worker died; {report.reruns} replicates were rerun serially",
+              file=sys.stderr)
     if failures:
         print(f"warning: {failures} replicate failures recorded", file=sys.stderr)
     print(f"mc finished: {len(report.cells)} cells, M={m}, B={b} -> {report_path}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared for the process.
+
+    Building it takes longer than most operations it parses, and a library
+    or test caller may run main() many times in one process. It is built on
+    demand, not at import, so importing the module stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="sofreg",
         description="Scalar-on-function regression with MAR responses and a "
@@ -421,8 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CsvFormatError as exc:

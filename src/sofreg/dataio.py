@@ -10,6 +10,7 @@ manifest only, never in a report.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -23,6 +24,11 @@ from .functional import FunctionalSample, Grid
 from .gof import GofResult
 
 
+#: ASCII separator characters that numpy's float parser strips as whitespace
+#: but float() rejects; a curves file holding one goes to the line parser.
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def _parse_float(token: str, line: int) -> float:
     try:
         return float(token)
@@ -30,16 +36,44 @@ def _parse_float(token: str, line: int) -> float:
         raise CsvFormatError(f"malformed decimal value {token!r}", line=line) from None
 
 
-def read_curves_csv(path: str) -> FunctionalSample:
-    """Parse a curve matrix file; errors carry 1-based line numbers."""
+def _numbered_lines(path: str) -> list[tuple[int, str]]:
+    """(1-based file line, text) of every line that is not blank."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
+
+
+def read_curves_csv(path: str) -> FunctionalSample:
+    """Parse a curve matrix file; errors carry 1-based file line numbers.
+
+    numpy's C reader parses the usual file. It gives float()'s bits but
+    rejects some tokens float() accepts ('1_0', non-ASCII digits) and
+    whitespace-only lines, so any file it refuses, or reads as fewer than
+    two rows, goes through the line parser, which accepts and rejects
+    exactly as float() does and names the offending line.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # a blank file would make np.loadtxt warn that it holds no data
+    if raw.strip() and not any(sep in raw for sep in _SEPARATORS):
+        try:
+            table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+                               encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if table.shape[0] >= 2:
+                return FunctionalSample(Grid(table[0]), table[1:])
+    return _read_curves_by_line(path)
+
+
+def _read_curves_by_line(path: str) -> FunctionalSample:
+    lines = _numbered_lines(path)
     if len(lines) < 2:
         raise CsvFormatError("need a grid row plus at least one curve row", line=1)
-    grid_tokens = lines[0].split(",")
-    grid = Grid(np.array([_parse_float(t, 1) for t in grid_tokens]))
+    grid_line, grid_text = lines[0]
+    grid = Grid(np.array([_parse_float(t, grid_line) for t in grid_text.split(",")]))
     rows = []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         tokens = ln.split(",")
         if len(tokens) != grid.n_points:
             raise CsvFormatError(
@@ -58,15 +92,15 @@ def write_curves_csv(path: str, sample: FunctionalSample) -> None:
 
 def read_responses_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``y,observed`` file into (responses-with-NaN, indicator)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    lines = _numbered_lines(path)
     if not lines:
         raise CsvFormatError("empty responses file", line=1)
-    header = [t.strip().lower() for t in lines[0].split(",")]
+    header_line, header_text = lines[0]
+    header = [t.strip().lower() for t in header_text.split(",")]
     if header != ["y", "observed"]:
-        raise CsvFormatError("header must be 'y,observed'", line=1)
+        raise CsvFormatError("header must be 'y,observed'", line=header_line)
     ys, rs = [], []
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         tokens = [t.strip() for t in ln.split(",")]
         if len(tokens) != 2:
             raise CsvFormatError("expected two columns", line=i)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +216,8 @@ class McReport:
     cells: list[CellResult]
     grid_points: int = 201
     sigma_eps: float = 0.1
+    #: Replicates run again in this process after a pool worker died.
+    reruns: int = 0
 
 
 # Numerical failures of one replicate or one estimator: counted, never fatal.
@@ -291,8 +294,11 @@ def mc_experiment(
     replicate runs at one BLAS thread (in each worker process, or around the
     serial loop, restoring the caller's count), so results are identical for
     any `threads` value and core count. With threads > 1 the replicates of
-    all cells go, in cell order, through one worker pool. Failed replicates
-    keep NaN entries and are counted in `failures`, never silently dropped.
+    all cells go, in cell order, through one worker pool; if a worker dies,
+    the replicates that have not come back run serially in this process
+    with the same seeds, so the report is unchanged, and `reruns` counts
+    them. Failed replicates keep NaN entries and are counted in `failures`,
+    never silently dropped.
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
@@ -314,14 +320,20 @@ def mc_experiment(
         for config, cell_seq in zip(configs, root.spawn(len(configs)))
         for s in cell_seq.spawn(m)
     ]
+    results = []
+    reruns = 0
     if threads > 1:
         chunk = max(1, m // (8 * threads))
-        with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
-                                 initargs=(1,)) as pool:
-            results = list(pool.map(_run_replicate, arglist, chunksize=chunk))
-    else:
-        with single_blas_thread():
-            results = [_run_replicate(a) for a in arglist]
+        try:
+            with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
+                                     initargs=(1,)) as pool:
+                for result in pool.map(_run_replicate, arglist, chunksize=chunk):
+                    results.append(result)
+        except BrokenProcessPool:
+            # a worker died; the replicates that did not come back run below
+            reruns = len(arglist) - len(results)
+    with single_blas_thread():
+        results.extend(_run_replicate(a) for a in arglist[len(results):])
 
     cells = []
     for c, config in enumerate(configs):
@@ -379,4 +391,5 @@ def mc_experiment(
         cells=cells,
         grid_points=configs[0].grid_points if configs else 201,
         sigma_eps=configs[0].sigma_eps if configs else 0.1,
+        reruns=reruns,
     )

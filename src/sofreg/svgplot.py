@@ -79,8 +79,14 @@ def _gaussian_kde(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
     iqr = np.subtract(*np.percentile(values, [75, 25]))
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     h = 0.9 * (spread if spread > 0 else 1.0) * n ** (-0.2)
-    z = (xs[:, None] - values[None, :]) / h
-    return np.exp(-0.5 * z**2).sum(axis=1) / (n * h * np.sqrt(2 * np.pi))
+    # exp(-0.5 * ((x - v) / h)**2) in one len(xs) x n buffer: the expression's
+    # operations in its order, so its bits, without its temporaries
+    kernel = np.subtract.outer(xs, values)
+    kernel /= h
+    np.square(kernel, out=kernel)
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    return kernel.sum(axis=1) / (n * h * np.sqrt(2 * np.pi))
 
 
 def density_plot(values: np.ndarray, marker: float, title: str) -> str:

@@ -1,10 +1,12 @@
 import json
+import multiprocessing
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from sofreg import cli
+from sofreg import cli, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.estimators import MarSample, observed_pairs_basis
@@ -13,6 +15,23 @@ from sofreg.exceptions import ConfigError
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+#: File whose creation marks that a worker has already been killed.
+DEATH_MARKER = None
+_run_replicate = simulation._run_replicate
+
+
+def _replicate_killing_its_worker_once(args):
+    """The third replicate of a cell ends its worker process, once per run."""
+    if args[3].spawn_key[-1] == 2:
+        try:
+            os.close(os.open(DEATH_MARKER, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return _run_replicate(args)
 
 
 @pytest.fixture()
@@ -154,6 +173,14 @@ class TestFit:
         assert len(report["cv_errors"]) <= k_max
 
 
+class TestParser:
+    def test_main_builds_one_parser_per_process(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            assert run(["mc", "--beta-id", 1, "--m", 1, "--out", tmp_path / "x"]) == 3
+        assert cli.build_parser.cache_info().misses == 1
+
+
 class TestDefaultThreads:
     def test_counts_usable_cores(self, monkeypatch):
         monkeypatch.delenv(cli.THREADS_ENV, raising=False)
@@ -275,6 +302,22 @@ class TestMc:
         report = json.loads((out / "report.json").read_text())
         assert report["m"] == 3  # flag overrides file
         assert report["seed"] == 4
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the replacement replicate reaches workers only by fork")
+    def test_killed_worker_is_rerun_serially(self, tmp_path, monkeypatch, capsys):
+        argv = ["mc", "--beta-id", 2, "--eta", 1.0, "--n", 40, "--delta", 0.0, 0.03,
+                "--m", 4, "--bootstrap", 20, "--seed", 31, "--threads", 2,
+                "--estimators", "S", "SL"]
+        assert run(argv + ["--out", tmp_path / "whole"]) == 0
+        monkeypatch.setattr(sys.modules[__name__], "DEATH_MARKER", str(tmp_path / "killed"))
+        monkeypatch.setattr(simulation, "_run_replicate", _replicate_killing_its_worker_once)
+        capsys.readouterr()
+        assert run(argv + ["--out", tmp_path / "killed-run"]) == 0
+        assert (tmp_path / "killed").exists()
+        assert "rerun serially" in capsys.readouterr().err
+        assert ((tmp_path / "killed-run" / "report.json").read_bytes()
+                == (tmp_path / "whole" / "report.json").read_bytes())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         payloads = []

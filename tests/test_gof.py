@@ -13,12 +13,13 @@ from sofreg.estimators import (
     observed_pairs_basis,
 )
 from sofreg.exceptions import GridMismatchError
-from sofreg.functional import fpc_decompose
+from sofreg.functional import FunctionalSample, fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
     GOLDEN_LOW,
     GOLDEN_P_LOW,
     _FixedStructureRefitter,
+    _observed_score_rows,
     build_a_matrix,
     golden_section_multipliers,
     pcvm_statistic,
@@ -326,6 +327,48 @@ class TestWildBootstrap:
                                                     rel=1e-10, abs=1e-10 * y_scale)
             test = wild_bootstrap_test(target, basis, tag, b=19, **kwargs)
             assert wild_bootstrap_test(mapped, basis, tag, b=19, **kwargs).p_value == test.p_value
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), a=st.integers(-50, 50), b=st.integers(-50, 50))
+    def test_property_power_of_two_units_are_exact(self, seed, a, b):
+        # curves x 2^a and responses x 2^b rescale every intermediate exactly
+        # in binary, so only an absolute floor could move a selection, a
+        # p-value or a bit; the LASSO lambda is left out, since np.geomspace
+        # does not rescale exactly
+        sample, _, y_full = make_mar_dataset(n=40, beta_id=1 + seed % 3, eta=1.0,
+                                             delta=0.03 * (seed % 2), seed=seed)
+        x_scaled = FunctionalSample(sample.x.grid, 2.0**a * sample.x.values)
+        every = np.ones(sample.n, dtype=bool)
+        pairs = {
+            "mar": (sample, MarSample(x_scaled, 2.0**b * sample.y, sample.r)),
+            "full": (MarSample(sample.x, y_full, every),
+                     MarSample(x_scaled, 2.0**b * y_full, every)),
+        }
+        kwargs = {
+            kind: [{"basis": fpc_decompose(s.x),
+                    "observed_basis": observed_pairs_basis(s) if kind == "mar" else None,
+                    "observance": fit_observance(s) if kind == "mar" else None}
+                   for s in pair]
+            for kind, pair in pairs.items()
+        }
+        for tag in METHOD_TAGS:
+            kind = "full" if tag in ("C", "CL") else "mar"
+            (base, scaled), (base_kw, scaled_kw) = pairs[kind], kwargs[kind]
+            slope = fit_slope(base, method=tag, seed=seed, **base_kw)
+            image = fit_slope(scaled, method=tag, seed=seed, **scaled_kw)
+            assert image.indices == slope.indices
+            assert image.cutoffs == slope.cutoffs
+            np.testing.assert_array_equal(image.coefficients,
+                                          2.0 ** (b - a) * slope.coefficients)
+            cols = np.asarray(slope.indices) - 1
+            np.testing.assert_array_equal(
+                build_a_matrix(_observed_score_rows(scaled, image)[:, cols]).values,
+                build_a_matrix(_observed_score_rows(base, slope)[:, cols]).values)
+            test = wild_bootstrap_test(base, method_tag=tag, b=40, seed=seed, **base_kw)
+            image_test = wild_bootstrap_test(scaled, method_tag=tag, b=40, seed=seed,
+                                             **scaled_kw)
+            assert image_test.p_value == test.p_value
+            assert image_test.statistic == 2.0 ** (2 * b) * test.statistic
 
     def test_end_to_end_determinism(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=15)
