@@ -12,17 +12,16 @@ n curves. The selector is top-K by leave-one-out CV (for I and W, both
 cutoffs jointly) or a LASSO support with an OLS refit, in both stages.
 
 Each regression uses the FPC basis of the curves whose pairs it fits: the
-simplified estimator decomposes the observed curves only (so its score
-columns are exactly orthogonal over its own rows and the classical plug-in
-form b_k = sum y_i S_ik / (n_S a_k) is its exact OLS solution), while the
+simplified estimator decomposes the observed curves only, while the
 completed-sample second stages decompose all n curves. With no missing
 responses the two bases coincide and every estimator collapses to its
 complete-data counterpart.
 
 Coefficients come from ordinary least squares with an unpenalized intercept.
-A top-K fit reads its score columns as a slice (`scores[:, :k]`) and a LASSO
-support reads them by index array; reports are reproduced to the last digit
-only while each keeps that layout.
+Every design is a basis's own score rows, whose columns have zero mean, are
+mutually orthogonal and have squared norms n * eigenvalue, so the least
+squares solution is the classical FPC plug-in form (Hall & Horowitz 2007,
+Ann. Statist.): alpha = mean(y) and b_k = sum_i y_i S_ik / (n a_k).
 Responses are centered once by the mean of the observed ones; per-fit
 intercepts absorb subsample selection offsets, and the global mean is added
 back for predictions and imputations.
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DegenerateSampleError, GridMismatchError, SingularBasisError
+from .exceptions import ConfigError, DegenerateSampleError, GridMismatchError
 from .functional import FpcBasis, FunctionalSample, fpc_decompose, project_scores
 from .lasso import lasso_select
 
@@ -113,10 +112,10 @@ class FunctionalSlope:
     `basis` is the FPC basis the fit lives in (observed-pairs basis for the
     simplified family, full-sample basis otherwise). `response_center` is the
     observed-response mean removed before fitting; `alpha` is the fit's own
-    intercept on that centered scale (zero for full-sample fits, where score
-    columns have exactly zero mean). Two-stage fits keep their first-stage fit
-    in `first_stage` (None for one-stage fits), and IPW fits their completion
-    weights in `ipw_weights`, so the bootstrap can refit the whole pipeline.
+    intercept on that centered scale, the mean of the responses it fitted.
+    Two-stage fits keep their first-stage fit in `first_stage` (None for
+    one-stage fits), and IPW fits their completion weights in `ipw_weights`,
+    so the bootstrap can refit the whole pipeline.
     """
 
     method_tag: str
@@ -154,45 +153,34 @@ class ObservanceModel:
     fitted_probabilities: np.ndarray
 
 
-def _solve_normal_equations(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(design.T @ design, design.T @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasisError(f"singular score design: {exc}") from exc
+def _plugin_fit(scores: np.ndarray, eigenvalues: np.ndarray, y: np.ndarray):
+    """Least squares with an intercept of y on score columns of a basis's own rows.
 
-
-def _with_intercept(design: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(design.shape[0]), design])
-
-
-def _lm_fit(score_cols: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Least squares with an intercept; returns (alpha, slope coefficients)."""
-    solution = _solve_normal_equations(_with_intercept(score_cols), y)
-    return float(solution[0]), solution[1:]
-
-
-def _loo_pieces(design: np.ndarray, y: np.ndarray):
-    """Least-squares fit plus exact leave-one-out downdates.
-
-    `design` should already carry its intercept column. Returns
-    (coef, loo_residuals, loo_coef) where loo_residuals[i] is the prediction
-    error for row i when it is excluded from the fit and loo_coef[i] are the
-    corresponding coefficients, via the hat-matrix identities e_i / (1 - h_i)
-    and b - G^{-1} s_i e_i / (1 - h_i).
+    `eigenvalues` are the basis's a_k for those columns; see the module
+    docstring for why (mean(y), S'y / (n a)) is then the exact solution. `y`
+    is one response vector over the n rows or a (B, n) stack of them.
     """
-    gram = design.T @ design
-    try:
-        ginv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBasisError(f"singular score design: {exc}") from exc
-    coef = ginv @ (design.T @ y)
-    resid = y - design @ coef
-    influence = design @ ginv  # row i = G^{-1} s_i
-    leverage = np.einsum("ij,ij->i", influence, design)
-    denom = np.maximum(1.0 - leverage, 1e-12)
-    loo_resid = resid / denom
-    loo_coef = coef[None, :] - influence * loo_resid[:, None]
-    return coef, loo_resid, loo_coef
+    return y.mean(axis=-1), (y @ scores) / (scores.shape[0] * eigenvalues)
+
+
+def _loo_pieces(scores: np.ndarray, eigenvalues: np.ndarray, y: np.ndarray):
+    """Plug-in fit plus the exact leave-one-out residuals of its nested fits.
+
+    The inverse Gram of the design (1, S) is diag(1/n, 1/(n a_k)), so the fit
+    on the first k columns has residuals y - alpha - sum_{j<=k} b_j S_ij and
+    leverages 1/n + sum_{j<=k} S_ij^2 / (n a_j): cumulative sums over k.
+    Returns (alpha, coef, influence, loo_resid) where influence[i, k] =
+    S_ik / (n a_k) and loo_resid[i, k - 1] = e_i / (1 - h_i) is row i's
+    prediction error at k columns when it is excluded from the fit; that fit
+    is alpha - loo_resid[i, k - 1] / n and coef[:k] - influence[i, :k] *
+    loo_resid[i, k - 1].
+    """
+    n = scores.shape[0]
+    alpha, coef = _plugin_fit(scores, eigenvalues, y)
+    influence = scores / (n * eigenvalues)
+    resid = (y - alpha)[:, None] - np.cumsum(scores * coef, axis=1)
+    leverage = 1.0 / n + np.cumsum(influence * scores, axis=1)
+    return alpha, coef, influence, resid / np.maximum(1.0 - leverage, 1e-12)
 
 
 def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
@@ -206,12 +194,9 @@ def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
     return int(np.flatnonzero(errors <= errors.min() + tol)[0])
 
 
-def _simplified_cv_errors(ytilde, s_obs, k_eff) -> np.ndarray:
-    errors = np.empty(k_eff)
-    for k in range(1, k_eff + 1):
-        _, loo_resid, _ = _loo_pieces(_with_intercept(s_obs[:, :k]), ytilde)
-        errors[k - 1] = float(np.sum(loo_resid**2))
-    return errors
+def _simplified_cv_errors(ytilde, ob: FpcBasis, k_eff: int) -> np.ndarray:
+    loo_resid = _loo_pieces(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)[3]
+    return np.sum(loo_resid**2, axis=0)
 
 
 def _check_basis(sample: MarSample, basis: FpcBasis | None):
@@ -245,28 +230,30 @@ def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
     base0 = float(np.sum(w * ytilde))
     removed0 = w * ytilde
 
+    s1 = ob.scores[:, :k1_eff]
+    alpha, coef, influence, loo_resid = _loo_pieces(s1, ob.eigenvalues[:k1_eff], ytilde)
     errors = np.empty((k1_eff, k2_eff))
     for ks in range(1, k1_eff + 1):
-        design1 = _with_intercept(ob.scores[:, :ks])
-        _, _, loo_coef = _loo_pieces(design1, ytilde)  # (n_obs, ks + 1)
-        pred_self = np.einsum("ik,ik->i", loo_coef, design1)
+        # first stage at ks columns without row i: row i of loo_alpha, loo_coef
+        loo_alpha = alpha - loo_resid[:, ks - 1] / obs.size
+        loo_coef = coef[:ks] - influence[:, :ks] * loo_resid[:, ks - 1:ks]
+        pred_self = loo_alpha + np.einsum("ik,ik->i", loo_coef, s1[:, :ks])
         # Second-stage sums of completed_j(i) * S_jk (and * 1) per left-out i:
         # observed j != i keep w_j y_j + (1 - w_j) pred_j, while the masked i
         # and all missing rows carry their first-stage predictions.
         numer = base[None, :] - removed
         mean_acc = base0 - removed0
         if inv_p_obs is not None:
-            pred_obs = loo_coef @ design1.T  # (left-out i, observed row j)
+            pred_obs = loo_alpha[:, None] + loo_coef @ s1[:, :ks].T  # (left-out i, row j)
             numer = numer + (pred_obs * (1.0 - w)[None, :]) @ s2_obs
             mean_acc = mean_acc + pred_obs @ (1.0 - w)
         numer = numer + (w * pred_self)[:, None] * s2_obs
         mean_acc = mean_acc + w * pred_self
         if miss.size:
-            pred_miss = loo_coef @ _with_intercept(miss_scores_ob[:, :ks]).T
+            pred_miss = loo_alpha[:, None] + loo_coef @ miss_scores_ob[:, :ks].T
             numer = numer + pred_miss @ s2_miss
             mean_acc = mean_acc + pred_miss.sum(axis=1)
-        # full-sample score columns are exactly orthogonal and zero-mean, so
-        # the second-stage lm reduces to the diagonal form plus a mean
+        # the plug-in fit of `_plugin_fit`, from the downdated sums
         b_second = numer / (n * a_full[:k2_eff])[None, :]
         alpha_second = mean_acc / n
         pred_second = alpha_second[:, None] + np.cumsum(b_second * s2_obs, axis=1)
@@ -357,14 +344,9 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
 
 def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
                response_center: float, **fields) -> FunctionalSlope:
-    """OLS fit, with an intercept, of y on the `indices` score columns of `basis`.
-
-    A `range` of leading components is read as a column slice, any other
-    support by index array (see the module docstring).
-    """
+    """OLS fit, with an intercept, of y on the `indices` score columns of `basis`."""
     cols = np.asarray(indices, dtype=int) - 1
-    columns = basis.scores[:, :cols.size] if isinstance(indices, range) else basis.scores[:, cols]
-    alpha, coef = _lm_fit(columns, y)
+    alpha, coef = _plugin_fit(basis.scores[:, cols], basis.eigenvalues[cols], y)
     return FunctionalSlope(
         method_tag=tag,
         indices=tuple(int(i) for i in indices),
@@ -372,7 +354,7 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
         basis=basis,
         curve=coef @ basis.eigenfunctions[cols],
         response_center=float(response_center),
-        alpha=alpha,
+        alpha=float(alpha),
         **fields,
     )
 
@@ -424,7 +406,7 @@ def fit_slope(
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s})
     else:
-        errors = _simplified_cv_errors(ytilde, ob.scores, _first_stage_limit(ob, sample))
+        errors = _simplified_cv_errors(ytilde, ob, _first_stage_limit(ob, sample))
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s}, diagnostics={"cv_errors": errors})

@@ -31,6 +31,8 @@ class Grid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise GridMismatchError("grid needs at least 3 points")
+        if not np.all(np.isfinite(pts)):
+            raise GridMismatchError("grid points must be finite")
         diffs = np.diff(pts)
         if np.any(diffs <= 0):
             raise GridMismatchError("grid points must be strictly increasing")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FunctionalSlope, MarSample, ObservanceModel, fit_slope
+from .estimators import FunctionalSlope, MarSample, ObservanceModel, _plugin_fit, fit_slope
 from .exceptions import GridMismatchError, NumericalError
 from .functional import FpcBasis, project_scores
 
@@ -205,59 +205,54 @@ def golden_section_multipliers(
     return np.where(rng.random(shape) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
 
 
-def _augmented(block: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(block.shape[0]), block])
-
-
 class _FixedStructureRefitter:
     """Vectorized coefficient refits at the original fit's frozen structure.
 
     Operates on (B, n_obs) matrices of centered bootstrap responses and
-    returns the matching residual matrices. A one-stage fit solves its frozen
-    normal equations over the observed pairs. A two-stage fit first refits
-    its first stage, completes all n responses from it (with the frozen IPW
-    weights, if any), and solves the second stage's equations over all rows.
+    returns the matching residual matrices. Every refit is the plug-in least
+    squares fit of `_plugin_fit` on the frozen score columns of the basis the
+    stage was fitted in. A one-stage fit refits over the observed pairs. A
+    two-stage fit first refits its first stage, completes all n responses
+    from it (with the frozen IPW weights, if any), and refits the second
+    stage over all rows.
     """
 
     def __init__(self, sample: MarSample, slope: FunctionalSlope):
         cols = np.asarray(slope.indices, dtype=int) - 1
-        self.d_obs_final = _augmented(_observed_score_rows(sample, slope)[:, cols])
+        self.s_obs_final = _observed_score_rows(sample, slope)[:, cols]
+        self.fit_columns = (slope.basis.scores[:, cols], slope.basis.eigenvalues[cols])
         first = slope.first_stage
         self.two_stage = first is not None
-        if first is None:
-            self.d_fit = self.d_obs_final
-        else:
+        if first is not None:
             self.n = sample.n
             self.obs = sample.observed_index
             self.miss = np.flatnonzero(~sample.r)
-            self.d_fit = _augmented(slope.basis.scores[:, cols])
             first_cols = np.asarray(first.indices, dtype=int) - 1
-            self.d_obs_first = _augmented(first.basis.scores[:, first_cols])
+            self.first_columns = (first.basis.scores[:, first_cols],
+                                  first.basis.eigenvalues[first_cols])
             if self.miss.size:
                 miss_scores = project_scores(first.basis, sample.x.values[self.miss])
-                self.d_miss_first = _augmented(miss_scores[:, first_cols])
-            self.first_ginv = np.linalg.inv(self.d_obs_first.T @ self.d_obs_first)
+                self.s_miss_first = miss_scores[:, first_cols]
             self.inv_p_obs = None if slope.ipw_weights is None else slope.ipw_weights[self.obs]
-        self.fit_ginv = np.linalg.inv(self.d_fit.T @ self.d_fit)
 
     def _completed(self, ystar: np.ndarray) -> np.ndarray:
-        coef1 = (ystar @ self.d_obs_first) @ self.first_ginv
+        alpha, coef = _plugin_fit(*self.first_columns, ystar)
         completed = np.empty((ystar.shape[0], self.n))
         if self.inv_p_obs is None:
             completed[:, self.obs] = ystar
         else:
-            pred_obs = coef1 @ self.d_obs_first.T
+            pred_obs = alpha[:, None] + coef @ self.first_columns[0].T
             completed[:, self.obs] = (
                 self.inv_p_obs * ystar + (1.0 - self.inv_p_obs) * pred_obs
             )
         if self.miss.size:
-            completed[:, self.miss] = coef1 @ self.d_miss_first.T
+            completed[:, self.miss] = alpha[:, None] + coef @ self.s_miss_first.T
         return completed
 
     def residual_matrix(self, ystar: np.ndarray) -> np.ndarray:
         target = self._completed(ystar) if self.two_stage else ystar
-        coef = (target @ self.d_fit) @ self.fit_ginv
-        return ystar - coef @ self.d_obs_final.T
+        alpha, coef = _plugin_fit(*self.fit_columns, target)
+        return ystar - alpha[:, None] - coef @ self.s_obs_final.T
 
 
 def wild_bootstrap_test(
@@ -323,21 +318,18 @@ def wild_bootstrap_test(
     refitter = _FixedStructureRefitter(sample, slope)
     mu = slope.predict_centered(score_rows)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
-    v = golden_section_multipliers((b, n_s), rng)
-    ystar = mu[None, :] + v * eps[None, :]
-    res = refitter.residual_matrix(ystar)
-    stats = np.einsum("bl,bl->b", res @ a.values, res) / float(n_s) ** 2
-    np.maximum(stats, 0.0, out=stats)
 
+    def draw(count: int) -> np.ndarray:
+        v = golden_section_multipliers((count, n_s), rng)
+        res = refitter.residual_matrix(mu[None, :] + v * eps[None, :])
+        stats = np.einsum("bl,bl->b", res @ a.values, res) / float(n_s) ** 2
+        return np.maximum(stats, 0.0)
+
+    stats = draw(b)
     bad = ~np.isfinite(stats)
     if np.any(bad):
-        v_retry = golden_section_multipliers((int(bad.sum()), n_s), rng)
-        ystar_retry = mu[None, :] + v_retry * eps[None, :]
-        res_retry = refitter.residual_matrix(ystar_retry)
-        stats[bad] = np.einsum(
-            "bl,bl->b", res_retry @ a.values, res_retry
-        ) / float(n_s) ** 2
-        if np.any(~np.isfinite(stats)):
+        stats[bad] = draw(int(bad.sum()))
+        if not np.all(np.isfinite(stats)):
             raise NumericalError(
                 f"bootstrap replicates failed twice for method {method_tag}"
             )

@@ -39,11 +39,15 @@ def lambda_max(design: np.ndarray, y: np.ndarray) -> float:
 
 
 def lambda_grid(design: np.ndarray, y: np.ndarray, n_lambdas: int = N_LAMBDAS) -> np.ndarray:
-    """Descending log-spaced grid spanning [lambda_max * 1e-4, lambda_max]."""
+    """Descending log-spaced grid spanning [lambda_max * 1e-4, lambda_max].
+
+    The log spacing is unit-free and multiplied by lambda_max last, so data
+    rescaled by a power of two give a grid rescaled exactly.
+    """
     lmax = lambda_max(design, y)
     if lmax <= 0.0:
         return np.full(n_lambdas, 0.0)
-    return np.geomspace(lmax, lmax * LAMBDA_MIN_RATIO, n_lambdas)
+    return lmax * np.geomspace(1.0, LAMBDA_MIN_RATIO, n_lambdas)
 
 
 def _exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,

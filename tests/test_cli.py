@@ -137,6 +137,19 @@ class TestFit:
                     "--responses", short, "--method", "C", "--out", tmp_path / "o"])
         assert code == 3
 
+    @pytest.mark.parametrize("grid_row", ["0,nan,1", "0,0.5,inf"])
+    def test_non_finite_grid_is_config_error(self, grid_row, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        rows = np.random.default_rng(0).normal(size=(6, 3))
+        lines = [grid_row] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        curves.write_text("\n".join(lines) + "\n")
+        responses = tmp_path / "responses.csv"
+        responses.write_text("y,observed\n" + "".join(f"{v:.17g},1\n" for v in rows[:, 0]))
+        code = run(["fit", "--curves", curves, "--responses", responses,
+                    "--method", "S", "--out", tmp_path / "o"])
+        assert code == 3
+        assert "grid points must be finite" in capsys.readouterr().err
+
     def test_all_missing_is_config_error(self, noiseless_dataset, tmp_path):
         y, r = read_responses_csv(str(noiseless_dataset / "responses.csv"))
         all_missing = tmp_path / "none.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sofreg.estimators
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
@@ -431,8 +433,12 @@ class TestLassoEstimators:
 
 
 class TestDegenerateMarReduction:
-    def test_all_estimators_collapse_without_missingness(self):
-        sample, basis, _ = make_mar_dataset(n=60, beta_id=2, eta=None, seed=24)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(25, 80),
+           beta_id=st.sampled_from((1, 2, 3)), delta=st.sampled_from((0.0, 0.03)))
+    def test_all_estimators_collapse_without_missingness(self, seed, n, beta_id, delta):
+        sample, basis, _ = make_mar_dataset(n=n, beta_id=beta_id, eta=None, delta=delta,
+                                            seed=seed)
         model = fit_observance(sample)
         c = fit_slope(sample, basis, "C")
         s = fit_slope(sample, basis, "S")

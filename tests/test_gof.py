@@ -12,7 +12,7 @@ from sofreg.estimators import (
     fit_slope,
     observed_pairs_basis,
 )
-from sofreg.exceptions import GridMismatchError
+from sofreg.exceptions import GridMismatchError, NumericalError
 from sofreg.functional import FunctionalSample, fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
@@ -333,8 +333,7 @@ class TestWildBootstrap:
     def test_property_power_of_two_units_are_exact(self, seed, a, b):
         # curves x 2^a and responses x 2^b rescale every intermediate exactly
         # in binary, so only an absolute floor could move a selection, a
-        # p-value or a bit; the LASSO lambda is left out, since np.geomspace
-        # does not rescale exactly
+        # p-value or a bit
         sample, _, y_full = make_mar_dataset(n=40, beta_id=1 + seed % 3, eta=1.0,
                                              delta=0.03 * (seed % 2), seed=seed)
         x_scaled = FunctionalSample(sample.x.grid, 2.0**a * sample.x.values)
@@ -360,6 +359,8 @@ class TestWildBootstrap:
             assert image.cutoffs == slope.cutoffs
             np.testing.assert_array_equal(image.coefficients,
                                           2.0 ** (b - a) * slope.coefficients)
+            if tag.endswith("L"):
+                assert image.diagnostics["lambda"] == 2.0 ** (a + b) * slope.diagnostics["lambda"]
             cols = np.asarray(slope.indices) - 1
             np.testing.assert_array_equal(
                 build_a_matrix(_observed_score_rows(scaled, image)[:, cols]).values,
@@ -401,6 +402,37 @@ class TestWildBootstrap:
             assert result.method_tag == tag
             assert result.n_obs == sample.n_obs
             assert np.all(result.bootstrap_statistics >= 0.0)
+
+    @staticmethod
+    def _poison_residuals(monkeypatch, poisoned_calls):
+        """Refits whose first residual row is NaN on the given calls; returns the call sizes."""
+        original = _FixedStructureRefitter.residual_matrix
+        sizes = []
+
+        def residual_matrix(self, ystar):
+            res = original(self, ystar)
+            sizes.append(res.shape[0])
+            if poisoned_calls is None or len(sizes) in poisoned_calls:
+                res[0] = np.nan
+            return res
+
+        monkeypatch.setattr(_FixedStructureRefitter, "residual_matrix", residual_matrix)
+        return sizes
+
+    def test_a_non_finite_replicate_is_redrawn(self, monkeypatch):
+        sizes = self._poison_residuals(monkeypatch, {1})
+        sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)
+        result = wild_bootstrap_test(sample, basis, "S", b=50, seed=1)
+        assert sizes == [50, 1]
+        assert np.all(np.isfinite(result.bootstrap_statistics))
+        assert np.all(result.bootstrap_statistics >= 0.0)
+        assert result.p_value == round(result.p_value * 50) / 50
+
+    def test_replicates_failing_twice_raise(self, monkeypatch):
+        self._poison_residuals(monkeypatch, None)
+        sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)
+        with pytest.raises(NumericalError):
+            wild_bootstrap_test(sample, basis, "S", b=50, seed=1)
 
     def test_rejects_bad_bootstrap_count(self):
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=18)
