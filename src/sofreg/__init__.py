@@ -10,7 +10,6 @@ from .exceptions import (
     DegenerateSampleError,
     GridMismatchError,
     NumericalError,
-    SingularBasisError,
     SofregError,
 )
 from .functional import FunctionalSample, Grid, fpc_decompose

@@ -23,16 +23,15 @@ from .dataio import (
     write_curves_csv,
     write_responses_csv,
 )
-from .estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
+from .estimators import METHOD_TAGS, MarSample, fit_slope
 from .exceptions import (
     ConfigError,
     CsvFormatError,
     DegenerateSampleError,
     NumericalError,
-    SingularBasisError,
     SofregError,
 )
-from .functional import FpcBasis, fpc_decompose
+from .functional import fpc_decompose
 from .gof import wild_bootstrap_test
 from .simulation import DgpConfig, generate_dataset, mc_experiment
 from .svgplot import curve_plot, density_plot, grouped_boxplot
@@ -72,13 +71,6 @@ def _load_sample(curves_path: str, responses_path: str) -> MarSample:
     if not r.any():
         raise ConfigError("all responses are missing")
     return MarSample(x, y, r)
-
-
-def _observed_basis(sample: MarSample, basis: FpcBasis, var_cutoff: float) -> FpcBasis:
-    """Observed-pairs basis at the same variance cutoff as the all-curves basis."""
-    if sample.n_obs < sample.n:
-        return observed_pairs_basis(sample, var_cutoff)
-    return basis
 
 
 def _args_config(args) -> dict:
@@ -138,8 +130,7 @@ def cmd_fit(args) -> int:
     started = time.time()
     sample = _load_sample(args.curves, args.responses)
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
-    slope = fit_slope(sample, basis, args.method, seed=args.seed,
-                      observed_basis=_observed_basis(sample, basis, args.kmax_var_cutoff))
+    slope = fit_slope(sample, basis, args.method, seed=args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, f"slope_{slope.method_tag}.json")
@@ -167,10 +158,7 @@ def cmd_test(args) -> int:
     started = time.time()
     sample = _load_sample(args.curves, args.responses)
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
-    result = wild_bootstrap_test(
-        sample, basis, args.method, b=args.bootstrap, seed=args.seed,
-        observed_basis=_observed_basis(sample, basis, args.kmax_var_cutoff),
-    )
+    result = wild_bootstrap_test(sample, basis, args.method, b=args.bootstrap, seed=args.seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
     report_path = os.path.join(out, f"gof_{result.method_tag}.json")
@@ -438,7 +426,7 @@ def main(argv=None) -> int:
     except CsvFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateSampleError, SingularBasisError, NumericalError,
+    except (DegenerateSampleError, NumericalError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,10 +12,16 @@ n curves. The selector is top-K by leave-one-out CV (for I and W, both
 cutoffs jointly) or a LASSO support with an OLS refit, in both stages.
 
 Each regression uses the FPC basis of the curves whose pairs it fits: the
-simplified estimator decomposes the observed curves only, while the
-completed-sample second stages decompose all n curves. With no missing
-responses the two bases coincide and every estimator collapses to its
-complete-data counterpart.
+simplified estimator decomposes the observed curves only, at the variance
+cutoff of the all-curves basis it is given, while the completed-sample
+second stages decompose all n curves. With no missing responses the two
+bases coincide and every estimator collapses to its complete-data
+counterpart. What a sample alone determines (the observed-pairs basis at a
+cutoff, the observance fit, and the test's A matrices) is computed once per
+`MarSample` and kept on it, so callers pass none of it around.
+
+One completion rule, `_completed_responses`, serves both the second stage of
+a fit and the refits of the wild bootstrap.
 
 Coefficients come from ordinary least squares with an unpenalized intercept.
 Every design is a basis's own score rows, whose columns have zero mean, are
@@ -34,7 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DegenerateSampleError, GridMismatchError
-from .functional import FpcBasis, FunctionalSample, fpc_decompose, project_scores
+from .functional import (
+    DEFAULT_VAR_CUTOFF,
+    FpcBasis,
+    FunctionalSample,
+    fpc_decompose,
+    project_scores,
+)
 from .lasso import lasso_select
 
 #: Lower clamp on fitted observance probabilities (bounds IPW weights by 20).
@@ -61,6 +73,7 @@ class MarSample:
     x: FunctionalSample
     y: np.ndarray
     r: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -96,13 +109,33 @@ class MarSample:
     def observed_mean(self) -> float:
         return float(self.y_observed.mean())
 
+    def _derived(self, key, compute):
+        """`compute()`, run once per `key` for this sample and then kept.
 
-def observed_pairs_basis(sample: MarSample, var_cutoff: float | None = None) -> FpcBasis:
+        Only for values the sample alone determines; `key` must name every
+        other input of `compute`.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+
+def observed_pairs_basis(sample: MarSample, var_cutoff: float = DEFAULT_VAR_CUTOFF) -> FpcBasis:
     """FPC basis of the curves whose responses are observed."""
     x_obs = FunctionalSample(sample.x.grid, sample.x.values[sample.observed_index])
-    if var_cutoff is None:
-        return fpc_decompose(x_obs)
     return fpc_decompose(x_obs, var_cutoff)
+
+
+def _first_stage_basis(sample: MarSample, basis: FpcBasis) -> FpcBasis:
+    """The observed-pairs basis at `basis`'s cutoff, once per sample and cutoff.
+
+    With every response observed it is `basis` itself.
+    """
+    if sample.n_obs == sample.n:
+        return basis
+    cutoff = basis.var_cutoff
+    return sample._derived(("observed_basis", cutoff),
+                           lambda: observed_pairs_basis(sample, cutoff))
 
 
 @dataclass(frozen=True)
@@ -199,8 +232,8 @@ def _simplified_cv_errors(ytilde, ob: FpcBasis, k_eff: int) -> np.ndarray:
     return np.sum(loo_resid**2, axis=0)
 
 
-def _check_basis(sample: MarSample, basis: FpcBasis | None):
-    if basis is not None and basis.n != sample.n:
+def _check_basis(sample: MarSample, basis: FpcBasis):
+    if basis.n != sample.n:
         raise GridMismatchError("basis was not computed from this sample")
 
 
@@ -261,26 +294,21 @@ def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
     return errors
 
 
-def joint_loocv_cutoffs(
-    sample: MarSample,
-    basis: FpcBasis,
-    observance: ObservanceModel | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> tuple[int, int]:
-    """Jointly selected (K_first, K_second) for the imputed or IPW pipeline."""
+def joint_loocv_cutoffs(sample: MarSample, basis: FpcBasis, ipw: bool = False) -> tuple[int, int]:
+    """Jointly selected (K_first, K_second) for the imputed (or, with `ipw`, IPW) pipeline."""
     _check_basis(sample, basis)
     obs = sample.observed_index
     miss = np.flatnonzero(~sample.r)
     ytilde = sample.y_observed - sample.observed_mean
-    ob = observed_basis if observed_basis is not None else observed_pairs_basis(sample)
+    ob = _first_stage_basis(sample, basis)
     k1_eff = _first_stage_limit(ob, sample)
     k2_eff = min(basis.k_max, sample.n_obs - 1)
     miss_scores_ob = (
         project_scores(ob, sample.x.values[miss]) if miss.size else np.zeros((0, ob.k_max))
     )
     inv_p = None
-    if observance is not None:
-        inv_p = _normalized_inverse_probabilities(sample, observance)[obs]
+    if ipw:
+        inv_p = _normalized_inverse_probabilities(sample, _sample_observance(sample))[obs]
     errors = _joint_cv_errors(
         ytilde, ob, obs, miss, basis.scores, basis.eigenvalues,
         sample.n, k1_eff, k2_eff, miss_scores_ob, inv_p,
@@ -342,6 +370,11 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
     return ObservanceModel(bandwidth=h, fitted_probabilities=fitted)
 
 
+def _sample_observance(sample: MarSample) -> ObservanceModel:
+    """The sample's observance fit, once per sample."""
+    return sample._derived("observance", lambda: fit_observance(sample))
+
+
 def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
                response_center: float, **fields) -> FunctionalSlope:
     """OLS fit, with an intercept, of y on the `indices` score columns of `basis`."""
@@ -359,19 +392,41 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
     )
 
 
-def fit_slope(
-    sample: MarSample,
-    basis: FpcBasis,
-    method: str,
-    seed: int = 0,
-    observance: ObservanceModel | None = None,
-    observed_basis: FpcBasis | None = None,
-) -> FunctionalSlope:
+def _completed_responses(sample: MarSample, first: FunctionalSlope, y_obs: np.ndarray,
+                         ipw_weights: np.ndarray | None) -> np.ndarray:
+    """All n responses completed from a refit of the first stage `first`.
+
+    `y_obs` holds centered observed responses, one (n_obs,) vector or a
+    (B, n_obs) stack. The first stage is refitted to them at its own indices
+    and predicts every row: observed rows from the first stage's own score
+    rows, missing rows from their projections on its basis. Imputation fills
+    the missing rows with those predictions; with `ipw_weights` w (zero where
+    y is missing), every row becomes w y + (1 - w) pred.
+    """
+    cols = np.asarray(first.indices, dtype=int) - 1
+    s_obs = first.basis.scores[:, cols]
+    alpha, coef = _plugin_fit(s_obs, first.basis.eigenvalues[cols], y_obs)
+    alpha = np.expand_dims(alpha, -1)
+    completed = np.empty(y_obs.shape[:-1] + (sample.n,))
+    obs = sample.observed_index
+    if ipw_weights is None:
+        completed[..., obs] = y_obs
+    else:
+        w = ipw_weights[obs]
+        completed[..., obs] = w * y_obs + (1.0 - w) * (alpha + coef @ s_obs.T)
+    miss = np.flatnonzero(~sample.r)
+    if miss.size:
+        s_miss = project_scores(first.basis, sample.x.values[miss])[:, cols]
+        completed[..., miss] = alpha + coef @ s_miss.T
+    return completed
+
+
+def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) -> FunctionalSlope:
     """Fit one of the eight estimators by its method tag.
 
-    `basis` is the FPC basis of all n curves; `observed_basis` (that of the
-    observed curves) and `observance` (the p(X) fit of W and WL) are computed
-    when not given. `seed` sets the LASSO cross-validation folds.
+    `basis` is the FPC basis of all n curves; the first stage runs in the
+    basis of the observed curves at `basis.var_cutoff`. `seed` sets the
+    LASSO cross-validation folds.
     """
     tag = method.upper()
     if tag not in METHOD_TAGS:
@@ -380,11 +435,7 @@ def fit_slope(
     if completion == "C" and sample.n_obs != sample.n:
         raise ConfigError(f"method {tag} needs fully observed responses")
     _check_basis(sample, basis)
-    if completion == "W" and observance is None:
-        observance = fit_observance(sample)
-    ob = observed_basis
-    if ob is None:
-        ob = basis if completion == "C" else observed_pairs_basis(sample)
+    ob = _first_stage_basis(sample, basis)
     two_stage = completion in ("I", "W")
     ybar = sample.observed_mean
     ytilde = sample.y_observed - ybar
@@ -399,10 +450,7 @@ def fit_slope(
         first = _ols_slope(first_tag, ob, support, ytilde, ybar,
                            cutoffs={"indices": support}, diagnostics={"lambda": diag["lambda"]})
     elif two_stage:
-        k_s, k_second = joint_loocv_cutoffs(
-            sample, basis,
-            observance=observance if completion == "W" else None, observed_basis=ob,
-        )
+        k_s, k_second = joint_loocv_cutoffs(sample, basis, ipw=completion == "W")
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s})
     else:
@@ -414,17 +462,10 @@ def fit_slope(
         return first
 
     # second stage: all n responses, completed from the first stage
-    completed = np.zeros(sample.n)
-    completed[sample.observed_index] = ytilde
     ipw_weights = None
-    if completion == "I":
-        miss = np.flatnonzero(~sample.r)
-        if miss.size:
-            completed[miss] = first.predict_centered(project_scores(ob, sample.x.values[miss]))
-    else:
-        ipw_weights = _normalized_inverse_probabilities(sample, observance)
-        pred = first.predict_centered(project_scores(ob, sample.x.values))
-        completed = ipw_weights * completed + (1.0 - ipw_weights) * pred
+    if completion == "W":
+        ipw_weights = _normalized_inverse_probabilities(sample, _sample_observance(sample))
+    completed = _completed_responses(sample, first, ytilde, ipw_weights)
     if lasso:
         indices, diag = lasso_select(basis.scores, completed, seed=seed)
         cutoffs = {"indices": indices, "first_stage": first.indices}

@@ -13,10 +13,6 @@ class DegenerateSampleError(SofregError):
     """A sample carries no usable variation (identical curves, zero spread)."""
 
 
-class SingularBasisError(SofregError):
-    """A requested component has a (numerically) zero eigenvalue."""
-
-
 class ConfigError(SofregError):
     """Invalid user-supplied configuration."""
 

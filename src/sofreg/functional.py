@@ -112,6 +112,7 @@ class FpcBasis:
     eigenfunctions : (K, m) rows orthonormal under the grid inner product.
     scores : (n, K) projections of the centered curves on the eigenfunctions.
     mean_curve : (m,) mean subtracted before decomposing.
+    var_cutoff : the variance-ratio cutoff that chose K.
     """
 
     grid: Grid
@@ -119,6 +120,7 @@ class FpcBasis:
     eigenfunctions: np.ndarray
     scores: np.ndarray
     mean_curve: np.ndarray
+    var_cutoff: float
 
     @property
     def k_max(self) -> int:
@@ -198,4 +200,5 @@ def fpc_decompose(
         eigenfunctions=eigenfunctions,
         scores=scores,
         mean_curve=mean_curve,
+        var_cutoff=var_cutoff,
     )

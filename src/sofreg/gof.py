@@ -10,7 +10,9 @@ enter as one point weighted by their count. Calibration resamples residuals
 with golden-section multipliers and refits the slope coefficients with every
 selected structure (index sets, cutoffs, observance probabilities, and A
 itself) frozen at the original fit, so only the coefficient refits and the
-quadratic form run per replicate.
+quadratic form run per replicate. A two-stage refit completes the responses
+by the estimators' own completion rule. A is built once per sample and
+score block and kept on the sample.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FunctionalSlope, MarSample, ObservanceModel, _plugin_fit, fit_slope
+from .estimators import FunctionalSlope, MarSample, _completed_responses, _plugin_fit, fit_slope
 from .exceptions import GridMismatchError, NumericalError
-from .functional import FpcBasis, project_scores
+from .functional import FpcBasis
 
 #: Relative tolerance under which two score vectors count as coincident.
 SCORE_COINCIDENCE_RTOL = 1e-12
@@ -205,54 +207,22 @@ def golden_section_multipliers(
     return np.where(rng.random(shape) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
 
 
-class _FixedStructureRefitter:
-    """Vectorized coefficient refits at the original fit's frozen structure.
+def _refit_residuals(sample: MarSample, slope: FunctionalSlope, ystar: np.ndarray) -> np.ndarray:
+    """Residuals of refits of `slope` at its frozen structure, one per row of `ystar`.
 
-    Operates on (B, n_obs) matrices of centered bootstrap responses and
-    returns the matching residual matrices. Every refit is the plug-in least
-    squares fit of `_plugin_fit` on the frozen score columns of the basis the
-    stage was fitted in. A one-stage fit refits over the observed pairs. A
-    two-stage fit first refits its first stage, completes all n responses
-    from it (with the frozen IPW weights, if any), and refits the second
-    stage over all rows.
+    `ystar` is a (B, n_obs) stack of centered responses over the observed
+    pairs. Every refit is the plug-in least squares fit of `_plugin_fit` on
+    the frozen score columns of the basis its stage was fitted in. A
+    one-stage fit refits over the observed pairs; a two-stage fit first
+    completes all n responses from its refitted first stage (with the frozen
+    IPW weights, if any) and refits the second stage over all rows.
     """
-
-    def __init__(self, sample: MarSample, slope: FunctionalSlope):
-        cols = np.asarray(slope.indices, dtype=int) - 1
-        self.s_obs_final = _observed_score_rows(sample, slope)[:, cols]
-        self.fit_columns = (slope.basis.scores[:, cols], slope.basis.eigenvalues[cols])
-        first = slope.first_stage
-        self.two_stage = first is not None
-        if first is not None:
-            self.n = sample.n
-            self.obs = sample.observed_index
-            self.miss = np.flatnonzero(~sample.r)
-            first_cols = np.asarray(first.indices, dtype=int) - 1
-            self.first_columns = (first.basis.scores[:, first_cols],
-                                  first.basis.eigenvalues[first_cols])
-            if self.miss.size:
-                miss_scores = project_scores(first.basis, sample.x.values[self.miss])
-                self.s_miss_first = miss_scores[:, first_cols]
-            self.inv_p_obs = None if slope.ipw_weights is None else slope.ipw_weights[self.obs]
-
-    def _completed(self, ystar: np.ndarray) -> np.ndarray:
-        alpha, coef = _plugin_fit(*self.first_columns, ystar)
-        completed = np.empty((ystar.shape[0], self.n))
-        if self.inv_p_obs is None:
-            completed[:, self.obs] = ystar
-        else:
-            pred_obs = alpha[:, None] + coef @ self.first_columns[0].T
-            completed[:, self.obs] = (
-                self.inv_p_obs * ystar + (1.0 - self.inv_p_obs) * pred_obs
-            )
-        if self.miss.size:
-            completed[:, self.miss] = alpha[:, None] + coef @ self.s_miss_first.T
-        return completed
-
-    def residual_matrix(self, ystar: np.ndarray) -> np.ndarray:
-        target = self._completed(ystar) if self.two_stage else ystar
-        alpha, coef = _plugin_fit(*self.fit_columns, target)
-        return ystar - alpha[:, None] - coef @ self.s_obs_final.T
+    cols = np.asarray(slope.indices, dtype=int) - 1
+    target = ystar
+    if slope.first_stage is not None:
+        target = _completed_responses(sample, slope.first_stage, ystar, slope.ipw_weights)
+    alpha, coef = _plugin_fit(slope.basis.scores[:, cols], slope.basis.eigenvalues[cols], target)
+    return ystar - alpha[:, None] - coef @ _observed_score_rows(sample, slope)[:, cols].T
 
 
 def wild_bootstrap_test(
@@ -261,9 +231,6 @@ def wild_bootstrap_test(
     method_tag: str,
     b: int = 500,
     seed: int = 0,
-    observance: ObservanceModel | None = None,
-    a_cache: dict | None = None,
-    observed_basis: FpcBasis | None = None,
 ) -> GofResult:
     """Run the full testing procedure for one estimator.
 
@@ -273,29 +240,18 @@ def wild_bootstrap_test(
     the frozen structure, and recomputes the statistic with the same A.
     A replicate producing a non-finite statistic is redrawn once, then the
     run aborts. p-value = #(observed statistic <= replicate statistic) / b.
-
-    `a_cache` may map (basis kind, indices) pairs to AMatrix objects shared
-    across calls on the same sample; the kind is "own" for a fit in the
-    observed-pairs basis and "full" for one in the all-curves basis.
-    `observance` may be passed to share the one-time probability fit between
-    the W and WL runs.
+    A is built once per sample and score block: tests on one sample whose
+    fits use the same score columns share it.
     """
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")
-    slope = fit_slope(sample, basis, method_tag, seed=seed,
-                      observance=observance, observed_basis=observed_basis)
+    slope = fit_slope(sample, basis, method_tag, seed=seed)
     method_tag = slope.method_tag
 
     eps = residuals(sample, slope)
     score_rows = _observed_score_rows(sample, slope)
-    key = ("own" if slope.basis.n != sample.n else "full", slope.indices)
-    if a_cache is not None and key in a_cache:
-        a = a_cache[key]
-    else:
-        cols = np.asarray(slope.indices, dtype=int) - 1
-        a = build_a_matrix(score_rows[:, cols])
-        if a_cache is not None:
-            a_cache[key] = a
+    block = score_rows[:, np.asarray(slope.indices, dtype=int) - 1]
+    a = sample._derived(("A", block.shape, block.tobytes()), lambda: build_a_matrix(block))
     n_s = sample.n_obs
     observed_stat = pcvm_statistic(eps, a)
 
@@ -315,13 +271,12 @@ def wild_bootstrap_test(
             n_obs=n_s,
         )
 
-    refitter = _FixedStructureRefitter(sample, slope)
     mu = slope.predict_centered(score_rows)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
 
     def draw(count: int) -> np.ndarray:
         v = golden_section_multipliers((count, n_s), rng)
-        res = refitter.residual_matrix(mu[None, :] + v * eps[None, :])
+        res = _refit_residuals(sample, slope, mu[None, :] + v * eps[None, :])
         stats = np.einsum("bl,bl->b", res @ a.values, res) / float(n_s) ** 2
         return np.maximum(stats, 0.0)
 

@@ -23,9 +23,9 @@ from .blas import set_blas_threads, single_blas_thread
 from .estimators import (
     METHOD_TAGS,
     MarSample,
-    fit_observance,
+    _first_stage_basis,
+    _sample_observance,
     fit_slope,
-    observed_pairs_basis,
 )
 from .exceptions import ConfigError, GridMismatchError, SofregError
 from .functional import FunctionalSample, Grid, fpc_decompose
@@ -235,42 +235,34 @@ def _run_replicate(args):
         sample, full_y, truth = generate_dataset(config, rng)
         tag_seeds = {t: int(rng.integers(2**63 - 1)) for t in METHOD_TAGS}
         basis = fpc_decompose(sample.x)
-        ob_basis = observed_pairs_basis(sample) if sample.n_obs < sample.n else basis
         full_sample = MarSample(sample.x, full_y, np.ones(config.n, dtype=bool))
         out["missing_fraction"] = 1.0 - sample.n_obs / sample.n
-        observance = None
+        # the sample keeps both, so they are computed (and may fail) here,
+        # outside any one estimator's fit time
+        _first_stage_basis(sample, basis)
         nw_seconds = 0.0
         if any(t in ("W", "WL") for t in tags):
             t0 = time.perf_counter()
-            observance = fit_observance(sample)
+            _sample_observance(sample)
             nw_seconds = time.perf_counter() - t0
-        caches = {True: {}, False: {}}
     except _REPLICATE_FAILURES as exc:
         out["error"] = f"{type(exc).__name__}: {exc}"
         return out
 
     beta_true = truth["beta"]
     for tag in tags:
-        use_full = tag in ("C", "CL")
-        target = full_sample if use_full else sample
-        obs_model = None if use_full else observance
-        ob = basis if use_full else ob_basis
+        target = full_sample if tag in ("C", "CL") else sample
         entry = {"p": np.nan, "msee": np.nan, "fit_s": np.nan, "error": None}
         try:
             t0 = time.perf_counter()
-            slope = fit_slope(target, basis, tag, seed=tag_seeds[tag],
-                              observance=obs_model, observed_basis=ob)
+            slope = fit_slope(target, basis, tag, seed=tag_seeds[tag])
             entry["fit_s"] = time.perf_counter() - t0
             if tag in ("W", "WL"):
                 # standalone IPW fits pay for the observance estimate
                 entry["fit_s"] += nw_seconds
             entry["msee"] = mse_estimation(beta_true, slope)
             if b >= 1:
-                result = wild_bootstrap_test(
-                    target, basis, tag, b=b, seed=tag_seeds[tag],
-                    observance=obs_model, a_cache=caches[use_full],
-                    observed_basis=ob,
-                )
+                result = wild_bootstrap_test(target, basis, tag, b=b, seed=tag_seeds[tag])
                 entry["p"] = result.p_value
         except _REPLICATE_FAILURES as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from sofreg.estimators import BANDWIDTH_FACTORS
-from sofreg.exceptions import GridMismatchError, SingularBasisError
+from sofreg.exceptions import GridMismatchError
 from sofreg.functional import FunctionalSample
 from sofreg.lasso import lambda_grid, lasso_path
 
@@ -59,13 +59,13 @@ def ols_fpc_coefficients(basis, y, index_set, weight_index):
 
     `y` is a full-length response vector over the basis rows; only the
     `weight_index` rows enter the fit, which carries an intercept. Raises
-    SingularBasisError when a selected component has a zero eigenvalue.
+    ValueError when a selected component has a zero eigenvalue.
     """
     idx = np.asarray(index_set, dtype=int)
     if idx.size == 0:
         raise ValueError("index_set must be nonempty")
     if np.any(basis.eigenvalues[idx - 1] <= 1e-14 * max(basis.eigenvalues[0], 1e-300)):
-        raise SingularBasisError(f"zero eigenvalue among components {tuple(idx)}")
+        raise ValueError(f"zero eigenvalue among components {tuple(idx)}")
     rows = np.asarray(weight_index, dtype=int)
     design = np.column_stack([np.ones(rows.size), basis.scores[np.ix_(rows, idx - 1)]])
     return np.linalg.lstsq(design, np.asarray(y, dtype=float)[rows], rcond=None)[0][1:]

@@ -14,7 +14,7 @@ import pytest
 from conftest import GRID, make_mar_dataset
 from oracles import kkt_violation, mc_a_matrix, mc_pcvm_statistic, ols_fpc_coefficients
 from sofreg.cli import main as cli_main
-from sofreg.estimators import MarSample, fit_observance, fit_slope
+from sofreg.estimators import fit_slope
 from sofreg.functional import fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
@@ -211,7 +211,6 @@ class TestCriterion8InvariantSuites:
     def test_degenerate_mar_reductions(self):
         sample, basis, _ = make_mar_dataset(n=60, beta_id=2, eta=None,
                                             seed=ACCEPTANCE_SEED)
-        model = fit_observance(sample)
         worst = 0.0
         c = fit_slope(sample, basis, "C")
         cl = fit_slope(sample, basis, "CL", seed=3)
@@ -219,14 +218,14 @@ class TestCriterion8InvariantSuites:
         assert s.indices == c.indices
         worst = max(worst, float(np.max(np.abs(s.coefficients - c.coefficients))))
         for tag in ("I", "W"):
-            slope = fit_slope(sample, basis, tag, seed=3, observance=model)
+            slope = fit_slope(sample, basis, tag, seed=3)
             reference = ols_fpc_coefficients(
                 basis, sample.y - sample.observed_mean, slope.indices,
                 np.arange(sample.n),
             )
             worst = max(worst, float(np.max(np.abs(slope.coefficients - reference))))
         for tag in ("SL", "IL", "WL"):
-            slope = fit_slope(sample, basis, tag, seed=3, observance=model)
+            slope = fit_slope(sample, basis, tag, seed=3)
             assert slope.indices == cl.indices
             worst = max(worst, float(np.max(np.abs(slope.coefficients - cl.coefficients))))
         ok = worst < 1e-10

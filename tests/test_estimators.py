@@ -20,7 +20,7 @@ from sofreg.estimators import (
     joint_loocv_cutoffs,
     observed_pairs_basis,
 )
-from sofreg.exceptions import ConfigError, DegenerateSampleError, SingularBasisError
+from sofreg.exceptions import ConfigError, DegenerateSampleError
 from sofreg.functional import FunctionalSample, fpc_decompose, project_scores
 from sofreg.simulation import gen_missing, gen_ou_sample, gen_responses, mse_estimation
 
@@ -111,7 +111,7 @@ class TestOlsCoefficients:
         broken = dataclasses.replace(
             basis, eigenvalues=np.where(np.arange(basis.k_max) == 1, 0.0, basis.eigenvalues)
         )
-        with pytest.raises(SingularBasisError):
+        with pytest.raises(ValueError):
             ols_fpc_coefficients(broken, np.ones(20), (1, 2), np.arange(20))
 
 
@@ -123,7 +123,7 @@ class TestSimplifiedCutoff:
     def test_matches_brute_force(self):
         sample, basis, _ = make_mar_dataset(n=25, beta_id=3, eta=1.0, seed=5)
         ob = observed_pairs_basis(sample)
-        slope = fit_slope(sample, basis, "S", observed_basis=ob)
+        slope = fit_slope(sample, basis, "S")
         brute = brute_simplified_cv(sample, ob, min(ob.k_max, sample.n_obs - 1))
         np.testing.assert_allclose(slope.diagnostics["cv_errors"], brute, rtol=1e-9)
         assert slope.cutoffs["K_S"] == int(np.argmin(brute)) + 1
@@ -198,7 +198,7 @@ class TestSimplifiedEstimator:
         y = np.full(120, np.nan)
         y[obs] = 2.0 * ob.scores[:, 0] - ob.scores[:, 1]
         sample = MarSample(x, y, r)
-        slope = fit_slope(sample, None, "S")
+        slope = fit_slope(sample, fpc_decompose(x), "S")
         coef = dict(zip(slope.indices, slope.coefficients))
         assert coef[1] == pytest.approx(2.0, abs=1e-6)
         if 2 in coef:
@@ -283,12 +283,25 @@ class TestImputedEstimator:
 
 
 class TestSecondStage:
+    @pytest.mark.parametrize("tag", ["S", "SL", "I", "IL", "W", "WL"])
+    def test_first_stage_basis_has_the_cutoff_of_the_given_basis(self, tag):
+        sample, _, _ = make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.03, seed=5)
+        basis = fpc_decompose(sample.x, 0.2)
+        assert basis.k_max == 2
+        k_max = observed_pairs_basis(sample, 0.2).k_max
+        assert k_max == 2 < observed_pairs_basis(sample).k_max
+        slope = fit_slope(sample, basis, tag, seed=1)
+        first = slope.first_stage or slope
+        assert first.basis.n == sample.n_obs
+        assert first.basis.k_max == k_max
+        assert max(first.indices) <= k_max
+
     @pytest.mark.parametrize("tag", ["I", "IL", "W", "WL"])
     def test_refits_the_oracle_completion_of_its_first_stage(self, tag):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=27)
         assert sample.n_obs < sample.n
         model = fit_observance(sample)
-        slope = fit_slope(sample, basis, tag, seed=6, observance=model)
+        slope = fit_slope(sample, basis, tag, seed=6)
         first = slope.first_stage
         assert first.first_stage is None and first.basis.n == sample.n_obs
         np.testing.assert_allclose(
@@ -364,7 +377,7 @@ class TestIpwEstimator:
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=None, seed=18)
         model = fit_observance(sample)
         np.testing.assert_allclose(model.fitted_probabilities, 1.0)
-        w = fit_slope(sample, basis, "W", observance=model)
+        w = fit_slope(sample, basis, "W")
         reference = ols_fpc_coefficients(
             basis, sample.y - sample.observed_mean, w.indices, np.arange(sample.n)
         )
@@ -393,11 +406,10 @@ class TestLassoEstimators:
     def test_no_missing_all_collapse_to_complete_lasso(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=1, eta=None, seed=21)
         cl = fit_slope(sample, basis, "CL", seed=11)
-        model = fit_observance(sample)
         for fitted in (
             fit_slope(sample, basis, "SL", seed=11),
             fit_slope(sample, basis, "IL", seed=11),
-            fit_slope(sample, basis, "WL", seed=11, observance=model),
+            fit_slope(sample, basis, "WL", seed=11),
         ):
             assert fitted.indices == cl.indices
             np.testing.assert_allclose(fitted.coefficients, cl.coefficients, atol=1e-10)
@@ -412,10 +424,8 @@ class TestLassoEstimators:
 
     def test_slope_invariants(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=23)
-        model = fit_observance(sample)
-        ob = observed_pairs_basis(sample)
         for tag in ("S", "SL", "I", "IL", "W", "WL"):
-            slope = fit_slope(sample, basis, tag, seed=5, observance=model, observed_basis=ob)
+            slope = fit_slope(sample, basis, tag, seed=5)
             assert slope.method_tag == tag
             assert len(slope.indices) >= 1
             cols = np.asarray(slope.indices) - 1
@@ -439,20 +449,19 @@ class TestDegenerateMarReduction:
     def test_all_estimators_collapse_without_missingness(self, seed, n, beta_id, delta):
         sample, basis, _ = make_mar_dataset(n=n, beta_id=beta_id, eta=None, delta=delta,
                                             seed=seed)
-        model = fit_observance(sample)
         c = fit_slope(sample, basis, "C")
         s = fit_slope(sample, basis, "S")
         assert s.indices == c.indices
         np.testing.assert_allclose(s.coefficients, c.coefficients, atol=1e-10)
         for tag in ("I", "W"):
-            slope = fit_slope(sample, basis, tag, seed=3, observance=model)
+            slope = fit_slope(sample, basis, tag, seed=3)
             reference = ols_fpc_coefficients(
                 basis, sample.y - sample.observed_mean, slope.indices, np.arange(sample.n)
             )
             np.testing.assert_allclose(slope.coefficients, reference, atol=1e-10)
         cl = fit_slope(sample, basis, "CL", seed=3)
         for tag in ("SL", "IL", "WL"):
-            slope = fit_slope(sample, basis, tag, seed=3, observance=model)
+            slope = fit_slope(sample, basis, tag, seed=3)
             assert slope.indices == cl.indices
             np.testing.assert_allclose(slope.coefficients, cl.coefficients, atol=1e-10)
 
@@ -460,10 +469,9 @@ class TestDegenerateMarReduction:
 class TestDeterminism:
     def test_same_seed_same_selections(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)
-        model = fit_observance(sample)
         for tag in ("S", "SL", "I", "IL", "W", "WL"):
-            a = fit_slope(sample, basis, tag, seed=77, observance=model)
-            b = fit_slope(sample, basis, tag, seed=77, observance=model)
+            a = fit_slope(sample, basis, tag, seed=77)
+            b = fit_slope(sample, basis, tag, seed=77)
             assert a.indices == b.indices
             assert a.cutoffs == b.cutoffs
             np.testing.assert_array_equal(a.coefficients, b.coefficients)

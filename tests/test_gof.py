@@ -5,21 +5,17 @@ from hypothesis import strategies as st
 
 from conftest import GRID, make_mar_dataset, make_score_linear_sample
 from oracles import case_table_a_matrix, mc_a_matrix, mc_pcvm_statistic
-from sofreg.estimators import (
-    METHOD_TAGS,
-    MarSample,
-    fit_observance,
-    fit_slope,
-    observed_pairs_basis,
-)
+import sofreg.estimators
+import sofreg.gof
+from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
 from sofreg.exceptions import GridMismatchError, NumericalError
 from sofreg.functional import FunctionalSample, fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
     GOLDEN_LOW,
     GOLDEN_P_LOW,
-    _FixedStructureRefitter,
     _observed_score_rows,
+    _refit_residuals,
     build_a_matrix,
     golden_section_multipliers,
     pcvm_statistic,
@@ -250,7 +246,7 @@ class TestFixedStructureRefitter:
         assert (sample.n_obs < sample.n) == (eta is not None)
         slope = fit_slope(sample, basis, tag, seed=4)
         ytilde = sample.y_observed - sample.observed_mean
-        refit = _FixedStructureRefitter(sample, slope).residual_matrix(ytilde[None, :])[0]
+        refit = _refit_residuals(sample, slope, ytilde[None, :])[0]
         expected = residuals(sample, slope)
         assert np.linalg.norm(refit - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -310,11 +306,10 @@ class TestWildBootstrap:
         sample, basis, y_full = make_mar_dataset(n=30, beta_id=1 + seed % 3, eta=1.0,
                                                  delta=0.03 * (seed % 2), seed=seed)
         full = MarSample(sample.x, y_full, np.ones(sample.n, dtype=bool))
-        model = fit_observance(sample)
         for tag in METHOD_TAGS:
             target = full if tag in ("C", "CL") else sample
             mapped = MarSample(target.x, a * target.y + c, target.r)
-            kwargs = {"seed": seed, "observance": None if target is full else model}
+            kwargs = {"seed": seed}
             slope = fit_slope(target, basis, tag, **kwargs)
             image = fit_slope(mapped, basis, tag, **kwargs)
             assert image.indices == slope.indices
@@ -343,13 +338,8 @@ class TestWildBootstrap:
             "full": (MarSample(sample.x, y_full, every),
                      MarSample(x_scaled, 2.0**b * y_full, every)),
         }
-        kwargs = {
-            kind: [{"basis": fpc_decompose(s.x),
-                    "observed_basis": observed_pairs_basis(s) if kind == "mar" else None,
-                    "observance": fit_observance(s) if kind == "mar" else None}
-                   for s in pair]
-            for kind, pair in pairs.items()
-        }
+        kwargs = {kind: [{"basis": fpc_decompose(s.x)} for s in pair]
+                  for kind, pair in pairs.items()}
         for tag in METHOD_TAGS:
             kind = "full" if tag in ("C", "CL") else "mar"
             (base, scaled), (base_kw, scaled_kw) = pairs[kind], kwargs[kind]
@@ -373,32 +363,52 @@ class TestWildBootstrap:
 
     def test_end_to_end_determinism(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=15)
-        ob = observed_pairs_basis(sample)
-        model = fit_observance(sample)
         for tag in ("S", "I", "W", "SL"):
-            r1 = wild_bootstrap_test(sample, basis, tag, b=100, seed=4,
-                                     observance=model, observed_basis=ob)
-            r2 = wild_bootstrap_test(sample, basis, tag, b=100, seed=4,
-                                     observance=model, observed_basis=ob)
+            r1 = wild_bootstrap_test(sample, basis, tag, b=100, seed=4)
+            r2 = wild_bootstrap_test(sample, basis, tag, b=100, seed=4)
             assert r1.statistic == r2.statistic
             assert r1.p_value == r2.p_value
             np.testing.assert_array_equal(r1.bootstrap_statistics, r2.bootstrap_statistics)
 
-    def test_a_cache_reuse(self):
-        sample, basis, _ = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=16)
-        cache = {}
-        r1 = wild_bootstrap_test(sample, basis, "I", b=50, seed=2, a_cache=cache)
-        assert len(cache) == 1
-        r2 = wild_bootstrap_test(sample, basis, "I", b=50, seed=2, a_cache=cache)
-        assert r1.p_value == r2.p_value
+    def test_sample_derives_each_input_once(self, monkeypatch):
+        # the observed-pairs basis, the observance fit and each distinct A
+        # are computed once per sample, through the names callers patch
+        calls = {"basis": 0, "observance": 0}
+        a_blocks = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def counted_a(block):
+            a_blocks.append((block.shape, block.tobytes()))
+            return build_a_matrix(block)
+
+        monkeypatch.setattr(sofreg.estimators, "observed_pairs_basis",
+                            counted("basis", observed_pairs_basis))
+        monkeypatch.setattr(sofreg.estimators, "fit_observance",
+                            counted("observance", sofreg.estimators.fit_observance))
+        monkeypatch.setattr(sofreg.gof, "build_a_matrix", counted_a)
+        sample, basis, y_full = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=16)
+        assert sample.n_obs < sample.n
+        for tag in ("S", "SL", "I", "IL", "W", "WL"):
+            fit_slope(sample, basis, tag, seed=2)
+            wild_bootstrap_test(sample, basis, tag, b=20, seed=2)
+        assert calls == {"basis": 1, "observance": 1}
+        assert a_blocks and len(set(a_blocks)) == len(a_blocks)
+        # another sample of the same size builds its own A
+        other, _, _ = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=17)
+        built = len(a_blocks)
+        result = wild_bootstrap_test(other, fpc_decompose(other.x), "S", b=20, seed=2)
+        assert len(a_blocks) == built + 1
+        assert a_blocks[-1][0] == (other.n_obs, len(result.indices))
 
     def test_all_methods_run_on_mar_sample(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=2, eta=1.0, seed=17)
-        ob = observed_pairs_basis(sample)
-        model = fit_observance(sample)
         for tag in ("S", "SL", "I", "IL", "W", "WL"):
-            result = wild_bootstrap_test(sample, basis, tag, b=60, seed=3,
-                                         observance=model, observed_basis=ob)
+            result = wild_bootstrap_test(sample, basis, tag, b=60, seed=3)
             assert result.method_tag == tag
             assert result.n_obs == sample.n_obs
             assert np.all(result.bootstrap_statistics >= 0.0)
@@ -406,17 +416,16 @@ class TestWildBootstrap:
     @staticmethod
     def _poison_residuals(monkeypatch, poisoned_calls):
         """Refits whose first residual row is NaN on the given calls; returns the call sizes."""
-        original = _FixedStructureRefitter.residual_matrix
         sizes = []
 
-        def residual_matrix(self, ystar):
-            res = original(self, ystar)
+        def refit_residuals(sample, slope, ystar):
+            res = _refit_residuals(sample, slope, ystar)
             sizes.append(res.shape[0])
             if poisoned_calls is None or len(sizes) in poisoned_calls:
                 res[0] = np.nan
             return res
 
-        monkeypatch.setattr(_FixedStructureRefitter, "residual_matrix", residual_matrix)
+        monkeypatch.setattr(sofreg.gof, "_refit_residuals", refit_residuals)
         return sizes
 
     def test_a_non_finite_replicate_is_redrawn(self, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import sofreg.estimators
 from conftest import make_mar_dataset
 from oracles import kkt_violation, lasso_cv_reference
-from sofreg.estimators import fit_observance, fit_slope, observed_pairs_basis
+from sofreg.estimators import fit_slope
 from sofreg.lasso import (
     _exact_path,
     lambda_grid,
@@ -69,10 +69,8 @@ def recorded_selections(monkeypatch, n, eta, seed):
     monkeypatch.setattr(sofreg.estimators, "lasso_select", recorder)
     sample, basis, y = make_mar_dataset(n=n, beta_id=1 + seed % 3, eta=eta,
                                         delta=0.03 * (seed % 2), seed=seed)
-    ob = observed_pairs_basis(sample)
-    model = fit_observance(sample)
     for tag in ("SL", "IL", "WL"):
-        fit_slope(sample, basis, tag, seed=seed, observance=model, observed_basis=ob)
+        fit_slope(sample, basis, tag, seed=seed)
     return calls
 
 
