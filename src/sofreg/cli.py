@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 import time
@@ -12,6 +11,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .blas import single_blas_thread
 from .dataio import (
     build_manifest,
     dump_json,
@@ -126,6 +126,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _at_one_blas_thread(command):
+    """Run `command` at one BLAS thread, restoring the caller's count after it.
+
+    Threaded BLAS may sum in another order, so without this a report's
+    trailing digits would depend on the core count.
+    """
+    @functools.wraps(command)
+    def run(args) -> int:
+        with single_blas_thread():
+            return command(args)
+    return run
+
+
+@_at_one_blas_thread
 def cmd_fit(args) -> int:
     started = time.time()
     sample = _load_sample(args.curves, args.responses)
@@ -154,6 +168,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+@_at_one_blas_thread
 def cmd_test(args) -> int:
     started = time.time()
     sample = _load_sample(args.curves, args.responses)

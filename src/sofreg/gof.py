@@ -9,10 +9,12 @@ angles of each triangle of distinct score points; coincident score rows
 enter as one point weighted by their count. Calibration resamples residuals
 with golden-section multipliers and refits the slope coefficients with every
 selected structure (index sets, cutoffs, observance probabilities, and A
-itself) frozen at the original fit, so only the coefficient refits and the
-quadratic form run per replicate. A two-stage refit completes the responses
-by the estimators' own completion rule. A is built once per sample and
-score block and kept on the sample.
+itself) frozen at the original fit. A two-stage refit completes the
+responses by the estimators' own completion rule. At frozen structure the
+refit residuals are linear in the bootstrap responses, res = y* R, and
+y* = mu + v * eps, so each replicate statistic is a quadratic form in its
+multipliers v: no replicate refits. A is built once per sample and score
+block and kept on the sample.
 """
 
 from __future__ import annotations
@@ -204,7 +206,9 @@ def golden_section_multipliers(
     if np.min(shape) < 1:
         raise ValueError("every dimension of shape must be at least 1")
     rng = np.random.default_rng(seed)
-    return np.where(rng.random(shape) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
+    low = rng.random(shape) < GOLDEN_P_LOW
+    # each product is exactly its point or a signed zero, so the sum is exact
+    return low * GOLDEN_LOW + ~low * GOLDEN_HIGH
 
 
 def _refit_residuals(sample: MarSample, slope: FunctionalSlope, ystar: np.ndarray) -> np.ndarray:
@@ -215,7 +219,9 @@ def _refit_residuals(sample: MarSample, slope: FunctionalSlope, ystar: np.ndarra
     the frozen score columns of the basis its stage was fitted in. A
     one-stage fit refits over the observed pairs; a two-stage fit first
     completes all n responses from its refitted first stage (with the frozen
-    IPW weights, if any) and refits the second stage over all rows.
+    IPW weights, if any) and refits the second stage over all rows. The map
+    is linear, so the identity stack gives its matrix R: the residuals of
+    any stack Y are Y @ R.
     """
     cols = np.asarray(slope.indices, dtype=int) - 1
     target = ystar
@@ -238,10 +244,13 @@ def wild_bootstrap_test(
     golden-section replicates y*_i = <X_i, beta-hat> + V_i * eps_i over the
     observed pairs (the missingness pattern is kept), refits coefficients at
     the frozen structure, and recomputes the statistic with the same A.
-    A replicate producing a non-finite statistic is redrawn once, then the
-    run aborts. p-value = #(observed statistic <= replicate statistic) / b.
-    A is built once per sample and score block: tests on one sample whose
-    fits use the same score columns share it.
+    The refit residuals are y* R with R = _refit_residuals(sample, slope, I),
+    so with M = R A R', E = diag(eps) and mu the fitted values, replicate b
+    is (c0 + v_b q1 + v_b Q v_b') / n_obs^2 (clamped at zero), where
+    Q = E M E, q1 = 2 E M mu and c0 = mu' M mu; a non-finite operator
+    raises NumericalError. p-value = #(observed statistic <= replicate
+    statistic) / b. A is built once per sample and score block: tests on
+    one sample whose fits use the same score columns share it.
     """
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")
@@ -272,22 +281,22 @@ def wild_bootstrap_test(
         )
 
     mu = slope.predict_centered(score_rows)
+    refit = _refit_residuals(sample, slope, np.eye(n_s))
+    m = refit @ a.values @ refit.T
+    m_mu = m @ mu
+    q = eps[:, None] * m * eps[None, :]
+    q1 = 2.0 * eps * m_mu
+    c0 = float(mu @ m_mu)
+    if not (math.isfinite(c0) and np.all(np.isfinite(q1)) and np.all(np.isfinite(q))):
+        raise NumericalError(f"non-finite bootstrap operator for method {method_tag}")
+
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
-
-    def draw(count: int) -> np.ndarray:
-        v = golden_section_multipliers((count, n_s), rng)
-        res = _refit_residuals(sample, slope, mu[None, :] + v * eps[None, :])
-        stats = np.einsum("bl,bl->b", res @ a.values, res) / float(n_s) ** 2
-        return np.maximum(stats, 0.0)
-
-    stats = draw(b)
-    bad = ~np.isfinite(stats)
-    if np.any(bad):
-        stats[bad] = draw(int(bad.sum()))
-        if not np.all(np.isfinite(stats)):
-            raise NumericalError(
-                f"bootstrap replicates failed twice for method {method_tag}"
-            )
+    v = golden_section_multipliers((b, n_s), rng)
+    stats = np.einsum("bl,bl->b", v @ q, v)
+    stats += v @ q1
+    stats += c0
+    stats /= float(n_s) ** 2
+    np.maximum(stats, 0.0, out=stats)
 
     p_value = float(np.count_nonzero(observed_stat <= stats)) / b
     return GofResult(

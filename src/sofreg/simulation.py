@@ -315,6 +315,11 @@ def mc_experiment(
     results = []
     reruns = 0
     if threads > 1:
+        # forked workers inherit the factor instead of each computing it,
+        # at one BLAS thread as they would
+        with single_blas_thread():
+            for config in configs:
+                _ou_factor(config.grid)
         chunk = max(1, m // (8 * threads))
         try:
             with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,

@@ -10,11 +10,13 @@ The test oracles deliberately avoid the closed-form A-matrix route:
 directions are drawn uniformly on the unit sphere of the score space, the
 marked empirical process is evaluated through the projected ECDF, and the
 direction integral is the sphere surface area times the sample mean over
-draws. The LASSO oracle cross-validates fold by fold with one exact path per
-centred training fold instead of one batched path over all folds, and
-`kkt_violation` measures how far a coefficient vector is from optimal. The
-Nadaraya-Watson reference scores every candidate bandwidth by an explicit
-leave-one-out loop.
+draws. The bootstrap reference refits every replicate by itself at the
+frozen structure and forms its quadratic form in A, the route the
+production quadratic form in the multipliers replaces. The LASSO oracle
+cross-validates fold by fold with one exact path per centred training fold
+instead of one batched path over all folds, and `kkt_violation` measures
+how far a coefficient vector is from optimal. The Nadaraya-Watson reference
+scores every candidate bandwidth by an explicit leave-one-out loop.
 """
 
 import math
@@ -24,6 +26,7 @@ import numpy as np
 from sofreg.estimators import BANDWIDTH_FACTORS
 from sofreg.exceptions import GridMismatchError
 from sofreg.functional import FunctionalSample
+from sofreg.gof import _observed_score_rows, _refit_residuals, pcvm_statistic, residuals
 from sofreg.lasso import lambda_grid, lasso_path
 
 
@@ -89,6 +92,21 @@ def completed_ipw_responses(sample, slope, observance):
     weights /= weights[sample.r].mean()
     y_filled = np.where(sample.r, sample.y, 0.0)
     return weights * y_filled + (1.0 - weights) * slope.predict_sample(sample.x)
+
+
+def per_replicate_bootstrap_statistics(sample, slope, a, multipliers):
+    """Wild-bootstrap statistics by one refit per replicate.
+
+    Row b of `multipliers` draws y*_b = mu + v_b * eps over the observed
+    pairs (mu the fitted values, eps the residuals); its residuals after a
+    refit at the frozen structure give the statistic in the test matrix `a`.
+    """
+    eps = residuals(sample, slope)
+    mu = slope.predict_centered(_observed_score_rows(sample, slope))
+    return np.array([
+        pcvm_statistic(_refit_residuals(sample, slope, (mu + v * eps)[None, :])[0], a)
+        for v in multipliers
+    ])
 
 
 def sphere_area(dim: int) -> float:

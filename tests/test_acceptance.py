@@ -5,7 +5,6 @@ tolerance and prints a PASS/FAIL line with the measured values. The Monte
 Carlo criteria share one a-priori seed; nothing here is tuned per run.
 """
 
-import json
 import math
 
 import numpy as np

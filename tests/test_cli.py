@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from sofreg import cli, simulation
+from sofreg import blas, cli, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.estimators import MarSample, observed_pairs_basis
@@ -184,6 +184,35 @@ class TestFit:
         assert k_max < observed_pairs_basis(sample).k_max
         assert report["cutoffs"]["K_S"] <= k_max
         assert len(report["cv_errors"]) <= k_max
+
+
+class TestBlasThreads:
+    def test_fit_and_test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at the real-data shape, threaded BLAS moved trailing digits of the
+        # W and WL reports of this sample
+        previous = blas.set_blas_threads(2)
+        if previous is None:
+            pytest.skip("no OpenBLAS loaded")
+        try:
+            data = tmp_path / "data"
+            assert run(["simulate", "--beta-id", 3, "--n", 65, "--eta", 2.0,
+                        "--seed", 0, "--out", data]) == 0
+            reports = {}
+            for threads in (2, 1):
+                blas.set_blas_threads(threads)
+                for command, extra, stem in (("fit", [], "slope"),
+                                             ("test", ["--bootstrap", 200], "gof")):
+                    for method in ("W", "WL"):
+                        out = tmp_path / f"{command}{method}{threads}"
+                        assert run([command, "--curves", data / "curves.csv",
+                                    "--responses", data / "responses.csv",
+                                    "--method", method, "--out", out, *extra]) == 0
+                        reports.setdefault((command, method), []).append(
+                            (out / f"{stem}_{method}.json").read_bytes())
+                assert blas.set_blas_threads(threads) == threads
+        finally:
+            blas.set_blas_threads(previous)
+        assert all(pair[0] == pair[1] for pair in reports.values())
 
 
 class TestParser:

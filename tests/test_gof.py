@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRID, make_mar_dataset, make_score_linear_sample
-from oracles import case_table_a_matrix, mc_a_matrix, mc_pcvm_statistic
+from conftest import make_mar_dataset, make_score_linear_sample
+from oracles import (
+    case_table_a_matrix,
+    mc_a_matrix,
+    mc_pcvm_statistic,
+    per_replicate_bootstrap_statistics,
+)
 import sofreg.estimators
 import sofreg.gof
 from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
@@ -22,7 +27,6 @@ from sofreg.gof import (
     residuals,
     wild_bootstrap_test,
 )
-from sofreg.simulation import gen_ou_sample
 
 
 class TestResiduals:
@@ -250,6 +254,43 @@ class TestFixedStructureRefitter:
         expected = residuals(sample, slope)
         assert np.linalg.norm(refit - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(tag=st.sampled_from(METHOD_TAGS), seed=st.integers(0, 2**31 - 1),
+           n=st.integers(20, 50), b=st.integers(1, 6))
+    def test_property_refit_is_linear_in_the_responses(self, tag, seed, n, b):
+        # the refit at frozen structure maps y* to y* R, R its image of the
+        # identity; an offset or a non-linear step in the completion breaks it
+        eta = None if tag in ("C", "CL") else 1.0
+        sample, basis, _ = make_mar_dataset(n=n, beta_id=1 + seed % 3, eta=eta,
+                                            delta=0.03 * (seed % 2), seed=seed)
+        slope = fit_slope(sample, basis, tag, seed=seed)
+        ystar = np.random.default_rng(seed).normal(size=(b, sample.n_obs))
+        operator = _refit_residuals(sample, slope, np.eye(sample.n_obs))
+        direct = _refit_residuals(sample, slope, ystar)
+        assert np.linalg.norm(direct - ystar @ operator) <= 1e-12 * np.linalg.norm(direct)
+
+
+class TestBootstrapOracle:
+    @pytest.mark.parametrize("observed, tag", [
+        *(("mar", t) for t in METHOD_TAGS if t not in ("C", "CL")),
+        *(("full", t) for t in METHOD_TAGS),
+    ])
+    def test_quadratic_form_matches_per_replicate_refits(self, observed, tag):
+        sample, basis, y_full = make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.03, seed=32)
+        if observed == "full":
+            sample = MarSample(sample.x, y_full, np.ones(sample.n, dtype=bool))
+        b, seed = 200, 6
+        result = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed)
+        slope = fit_slope(sample, basis, tag, seed=seed)
+        cols = np.asarray(slope.indices) - 1
+        a = build_a_matrix(_observed_score_rows(sample, slope)[:, cols])
+        # the multipliers of the test's own stream
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
+        v = golden_section_multipliers((b, sample.n_obs), rng)
+        reference = per_replicate_bootstrap_statistics(sample, slope, a, v)
+        assert np.all(reference > 0.0)
+        np.testing.assert_allclose(result.bootstrap_statistics, reference, rtol=1e-12, atol=0)
+
 
 class TestWildBootstrap:
     def test_degenerate_noiseless_data(self):
@@ -413,34 +454,15 @@ class TestWildBootstrap:
             assert result.n_obs == sample.n_obs
             assert np.all(result.bootstrap_statistics >= 0.0)
 
-    @staticmethod
-    def _poison_residuals(monkeypatch, poisoned_calls):
-        """Refits whose first residual row is NaN on the given calls; returns the call sizes."""
-        sizes = []
-
-        def refit_residuals(sample, slope, ystar):
+    def test_a_non_finite_operator_raises(self, monkeypatch):
+        def poisoned(sample, slope, ystar):
             res = _refit_residuals(sample, slope, ystar)
-            sizes.append(res.shape[0])
-            if poisoned_calls is None or len(sizes) in poisoned_calls:
-                res[0] = np.nan
+            res[0, 0] = np.nan
             return res
 
-        monkeypatch.setattr(sofreg.gof, "_refit_residuals", refit_residuals)
-        return sizes
-
-    def test_a_non_finite_replicate_is_redrawn(self, monkeypatch):
-        sizes = self._poison_residuals(monkeypatch, {1})
+        monkeypatch.setattr(sofreg.gof, "_refit_residuals", poisoned)
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)
-        result = wild_bootstrap_test(sample, basis, "S", b=50, seed=1)
-        assert sizes == [50, 1]
-        assert np.all(np.isfinite(result.bootstrap_statistics))
-        assert np.all(result.bootstrap_statistics >= 0.0)
-        assert result.p_value == round(result.p_value * 50) / 50
-
-    def test_replicates_failing_twice_raise(self, monkeypatch):
-        self._poison_residuals(monkeypatch, None)
-        sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="non-finite bootstrap operator"):
             wild_bootstrap_test(sample, basis, "S", b=50, seed=1)
 
     def test_rejects_bad_bootstrap_count(self):
