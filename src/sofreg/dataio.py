@@ -1,9 +1,10 @@
-"""File formats and run manifests.
+"""File formats: input CSVs, every command's reports, and run manifests.
 
 Curve matrix CSV: first row holds the grid abscissae, each following row one
 curve; UTF-8, '.' decimal, ',' separator. Response CSV: header ``y,observed``
-with the response empty or ``NA`` when observed is 0. Reports are JSON with
-sorted keys so equal seeds yield byte-identical files; wall time lives in the
+with the response empty or ``NA`` when observed is 0. Reports (`truth_report`,
+`slope_report`, `gof_report`, `mc_report`) are JSON with sorted keys and NaN
+as null, so equal seeds yield byte-identical files; wall time lives in the
 manifest only, never in a report.
 """
 
@@ -18,10 +19,11 @@ import tempfile
 import numpy as np
 
 from . import __version__ as _version
-from .estimators import FunctionalSlope, MarSample
+from .estimators import METHOD_TAGS, FunctionalSlope, MarSample
 from .exceptions import CsvFormatError
 from .functional import FunctionalSample, Grid
 from .gof import GofResult
+from .simulation import CellResult, McReport
 
 
 #: ASCII separator characters that numpy's float parser strips as whitespace
@@ -155,6 +157,20 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _null_if_nan(value):
+    """`value` with each non-finite number in it (dicts, arrays) as None."""
+    if isinstance(value, dict):
+        return {k: _null_if_nan(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return [_null_if_nan(v) for v in value]
+    return value if np.isfinite(value) else None
+
+
+def truth_report(truth: dict, seed: int) -> dict:
+    """The true slope and settings a simulated dataset was drawn with."""
+    return truth | {"beta": [float(v) for v in truth["beta"]], "seed": seed}
+
+
 def slope_report(slope: FunctionalSlope, sample: MarSample) -> dict:
     """Deterministic JSON payload describing a fitted slope."""
     report = {
@@ -190,6 +206,71 @@ def gof_report(result: GofResult) -> dict:
         "n_observed": int(result.n_obs),
         "bootstrap_statistics": [float(v) for v in result.bootstrap_statistics],
     }
+
+
+def _eta_text(eta: float | None) -> str:
+    return "none" if eta is None else f"{eta:g}"
+
+
+def cell_stem(cell: CellResult) -> str:
+    """File-name stem of one mc cell, e.g. ``beta3_eta1_n100_delta0``."""
+    return f"beta{cell.beta_id}_eta{_eta_text(cell.eta)}_n{cell.n}_delta{cell.delta:g}"
+
+
+def rejection_tables(report: McReport, beta_ids, etas) -> list[tuple[str, str]]:
+    """(name, text) of each ``rejections_beta<j>_eta<v>.csv``: a row per (n, delta)
+    cell, a column per tag, empty where the rate is NaN or the tag was not run."""
+    tables = []
+    for bid in beta_ids:
+        for eta in etas:
+            rows = ["n,delta," + ",".join(METHOD_TAGS)]
+            for cell in report.cells:
+                if cell.beta_id != bid or cell.eta != eta:
+                    continue
+                rates = [_null_if_nan(cell.rejection.get(tag, np.nan)) for tag in METHOD_TAGS]
+                rows.append(",".join([str(cell.n), repr(float(cell.delta))]
+                                     + ["" if v is None else repr(float(v)) for v in rates]))
+            tables.append((f"rejections_beta{bid}_eta{_eta_text(eta)}.csv",
+                           "\n".join(rows) + "\n"))
+    return tables
+
+
+def mc_report(report: McReport) -> dict:
+    """Deterministic JSON payload of an mc run (timing goes to the manifest)."""
+    return {
+        "alpha": report.alpha,
+        "m": report.m,
+        "bootstrap_count": report.b,
+        "seed": report.seed,
+        "estimators": list(report.estimators),
+        "grid_points": report.grid_points,
+        "sigma_eps": report.sigma_eps,
+        "cells": [
+            {
+                "beta_id": c.beta_id,
+                "eta": c.eta,
+                "n": c.n,
+                "delta": c.delta,
+                "m": c.m,
+                "missing_fraction": c.missing_fraction,
+                "failures": c.failures,
+                "rejection": _null_if_nan(c.rejection),
+                "msee_mean": _null_if_nan(c.msee_mean),
+                "p_values": _null_if_nan(c.p_values),
+                "msee": _null_if_nan(c.msee),
+            }
+            for c in report.cells
+        ],
+    }
+
+
+def mc_timing(report: McReport) -> list[dict]:
+    """Mean fit seconds per cell and tag, for the mc manifest."""
+    return [
+        {"beta_id": c.beta_id, "eta": c.eta, "n": c.n, "delta": c.delta,
+         "time_mean": _null_if_nan(c.time_mean)}
+        for c in report.cells
+    ]
 
 
 def build_manifest(

@@ -47,12 +47,15 @@ def _ou_factor(grid: Grid) -> np.ndarray:
 
     An eigendecomposition with a zero clamp is used rather than a triangular
     factorization so that near-singular discretizations stay factorizable.
+    It runs at one BLAS thread, as threaded BLAS may give other bits, so the
+    cache never holds a factor that depends on the caller's thread count.
     """
     key = grid.points.tobytes()
     factor = _FACTOR_CACHE.get(key)
     if factor is None:
         cov = ou_covariance(grid)
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        with single_blas_thread():
+            eigvals, eigvecs = np.linalg.eigh(cov)
         eigvals = np.maximum(eigvals, 0.0)
         factor = eigvecs * np.sqrt(eigvals)
         _FACTOR_CACHE[key] = factor
@@ -214,8 +217,8 @@ class McReport:
     seed: int
     estimators: tuple[str, ...]
     cells: list[CellResult]
-    grid_points: int = 201
-    sigma_eps: float = 0.1
+    grid_points: int
+    sigma_eps: float
     #: Replicates run again in this process after a pool worker died.
     reruns: int = 0
 
@@ -302,7 +305,11 @@ def mc_experiment(
         raise ConfigError("alpha must lie in (0, 1)")
     if threads < 1:
         raise ConfigError("threads must be at least 1")
+    if not configs:
+        raise ConfigError("an mc run needs at least one configuration")
     tags = tuple(t.upper() for t in estimators)
+    if not tags:
+        raise ConfigError("an mc run needs at least one estimator")
     for t in tags:
         if t not in METHOD_TAGS:
             raise ConfigError(f"unknown estimator tag {t!r}")
@@ -315,11 +322,9 @@ def mc_experiment(
     results = []
     reruns = 0
     if threads > 1:
-        # forked workers inherit the factor instead of each computing it,
-        # at one BLAS thread as they would
-        with single_blas_thread():
-            for config in configs:
-                _ou_factor(config.grid)
+        # forked workers inherit the factor instead of each computing it
+        for config in configs:
+            _ou_factor(config.grid)
         chunk = max(1, m // (8 * threads))
         try:
             with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
@@ -386,7 +391,7 @@ def mc_experiment(
         seed=seed,
         estimators=tags,
         cells=cells,
-        grid_points=configs[0].grid_points if configs else 201,
-        sigma_eps=configs[0].sigma_eps if configs else 0.1,
+        grid_points=configs[0].grid_points,
+        sigma_eps=configs[0].sigma_eps,
         reruns=reruns,
     )

@@ -186,33 +186,66 @@ class TestFit:
         assert len(report["cv_errors"]) <= k_max
 
 
+@pytest.fixture()
+def set_blas_threads():
+    """blas.set_blas_threads, starting at 2 threads; the caller's count is restored."""
+    previous = blas.set_blas_threads(2)
+    if previous is None:
+        pytest.skip("no OpenBLAS loaded")
+    yield blas.set_blas_threads
+    blas.set_blas_threads(previous)
+
+
 class TestBlasThreads:
-    def test_fit_and_test_reports_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+    def test_fit_and_test_reports_do_not_depend_on_the_blas_thread_count(
+            self, tmp_path, set_blas_threads):
         # at the real-data shape, threaded BLAS moved trailing digits of the
         # W and WL reports of this sample
-        previous = blas.set_blas_threads(2)
-        if previous is None:
-            pytest.skip("no OpenBLAS loaded")
-        try:
-            data = tmp_path / "data"
-            assert run(["simulate", "--beta-id", 3, "--n", 65, "--eta", 2.0,
-                        "--seed", 0, "--out", data]) == 0
-            reports = {}
-            for threads in (2, 1):
-                blas.set_blas_threads(threads)
-                for command, extra, stem in (("fit", [], "slope"),
-                                             ("test", ["--bootstrap", 200], "gof")):
-                    for method in ("W", "WL"):
-                        out = tmp_path / f"{command}{method}{threads}"
-                        assert run([command, "--curves", data / "curves.csv",
-                                    "--responses", data / "responses.csv",
-                                    "--method", method, "--out", out, *extra]) == 0
-                        reports.setdefault((command, method), []).append(
-                            (out / f"{stem}_{method}.json").read_bytes())
-                assert blas.set_blas_threads(threads) == threads
-        finally:
-            blas.set_blas_threads(previous)
+        data = tmp_path / "data"
+        assert run(["simulate", "--beta-id", 3, "--n", 65, "--eta", 2.0,
+                    "--seed", 0, "--out", data]) == 0
+        reports = {}
+        for threads in (2, 1):
+            set_blas_threads(threads)
+            for command, extra, stem in (("fit", [], "slope"),
+                                         ("test", ["--bootstrap", 200], "gof")):
+                for method in ("W", "WL"):
+                    out = tmp_path / f"{command}{method}{threads}"
+                    assert run([command, "--curves", data / "curves.csv",
+                                "--responses", data / "responses.csv",
+                                "--method", method, "--out", out, *extra]) == 0
+                    reports.setdefault((command, method), []).append(
+                        (out / f"{stem}_{method}.json").read_bytes())
+            assert set_blas_threads(threads) == threads
         assert all(pair[0] == pair[1] for pair in reports.values())
+
+    def test_simulate_files_do_not_depend_on_the_blas_thread_count(
+            self, tmp_path, monkeypatch, set_blas_threads):
+        # both the covariance factor and the product drawing the curves
+        # moved with the thread count
+        files = []
+        for threads in (2, 1):
+            set_blas_threads(threads)
+            monkeypatch.setattr(simulation, "_FACTOR_CACHE", {})
+            out = tmp_path / f"sim{threads}"
+            assert run(["simulate", "--beta-id", 3, "--n", 100, "--eta", 1.0,
+                        "--seed", 7, "--out", out]) == 0
+            assert set_blas_threads(threads) == threads
+            files.append([(out / name).read_bytes()
+                          for name in ("curves.csv", "responses.csv", "truth.json")])
+        assert files[0] == files[1]
+
+    def test_covariance_factor_does_not_depend_on_the_blas_thread_count(
+            self, monkeypatch, set_blas_threads):
+        # mc_experiment forks its workers with the cached factor, whatever
+        # the thread count of the caller that computed it
+        grid = simulation.DgpConfig(beta_id=1).grid
+        factors = []
+        for threads in (2, 1):
+            set_blas_threads(threads)
+            monkeypatch.setattr(simulation, "_FACTOR_CACHE", {})
+            factors.append(simulation._ou_factor(grid).tobytes())
+        assert factors[0] == factors[1]
 
 
 class TestParser:
@@ -345,6 +378,21 @@ class TestMc:
         assert report["m"] == 3  # flag overrides file
         assert report["seed"] == 4
 
+    @pytest.mark.parametrize("line", ["n = ", "estimators = ,"])
+    def test_config_file_refuses_an_empty_list(self, tmp_path, capsys, line):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(f"beta_id = 1\n{line}\nm = 1\nbootstrap = 5\nseed = 4\n")
+        out = tmp_path / "mc"
+        assert run(["mc", "--config", cfg, "--threads", 1, "--out", out]) == 3
+        assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_names_the_line_of_a_malformed_value(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("# slope\nbeta_id = 1.5\nseed = 4\n")
+        assert run(["mc", "--config", cfg, "--out", tmp_path / "mc"]) == 3
+        assert f"{cfg}:2: invalid beta_id value '1.5'" in capsys.readouterr().err
+
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the replacement replicate reaches workers only by fork")
     def test_killed_worker_is_rerun_serially(self, tmp_path, monkeypatch, capsys):
@@ -370,6 +418,61 @@ class TestMc:
                         "--seed", 12, "--threads", 2, "--out", out]) == 0
             payloads.append((out / "report.json").read_bytes())
         assert payloads[0] == payloads[1]
+
+
+#: Per mc setting: its value as a config-file line, the same value as flag
+#: tokens, the value the manifest echoes, and another file value that the
+#: flag must override.
+SETTING_VALUES = {
+    "beta_id": ("2", ["2"], [2], "1, 3"),
+    "eta": ("0.5, none", ["0.5", "none"], [0.5, None], "2"),
+    "n": ("32", ["32"], [32], "40"),
+    "delta": ("0.03", ["0.03"], [0.03], "0"),
+    "estimators": ("sl", ["sl"], ["SL"], "S, I"),
+    "m": ("2", ["2"], 2, "3"),
+    "bootstrap": ("12", ["12"], 12, "20"),
+    "alpha": ("0.1", ["0.1"], 0.1, "0.2"),
+    "seed": ("6", ["6"], 6, "7"),
+    "threads": ("2", ["2"], 2, "1"),
+    "grid_points": ("41", ["41"], 41, "61"),
+    "sigma_eps": ("0.2", ["0.2"], 0.2, "0.05"),
+}
+#: Every setting of a tiny run, as flag tokens.
+BASE_SETTINGS = {"beta_id": ["1"], "eta": ["1.0"], "n": ["30"], "m": ["1"],
+                 "bootstrap": ["10"], "estimators": ["S"], "seed": ["5"], "threads": ["1"]}
+MC_MANIFEST_CONFIG_KEYS = {"alpha", "beta_id", "bootstrap", "delta", "estimators", "eta",
+                           "grid_points", "m", "n", "sigma_eps", "threads", "version"}
+
+
+class TestMcSettings:
+    """The flags and the config file are one interface to the same settings."""
+
+    def test_every_setting_is_covered(self):
+        assert set(SETTING_VALUES) == {s.name for s in cli.MC_SETTINGS}
+        assert MC_MANIFEST_CONFIG_KEYS == set(SETTING_VALUES) - {"seed"} | {"version"}
+
+    @pytest.mark.parametrize("name", sorted(SETTING_VALUES))
+    def test_file_line_equals_flag_and_flag_overrides_file(self, tmp_path, name):
+        file_text, tokens, echoed, other = SETTING_VALUES[name]
+        base = [str(t) for key, values in BASE_SETTINGS.items() if key != name
+                for t in ["--" + key.replace("_", "-"), *values]]
+        flag = ["--" + name.replace("_", "-"), *tokens]
+
+        def mc(label, argv, line=None):
+            out = tmp_path / label
+            if line is not None:
+                (tmp_path / f"{label}.cfg").write_text(f"{name} = {line}\n")
+                argv = ["--config", tmp_path / f"{label}.cfg", *argv]
+            assert run(["mc", *argv, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert set(manifest["config"]) == MC_MANIFEST_CONFIG_KEYS
+            value = manifest["seed"] if name == "seed" else manifest["config"][name]
+            assert value == echoed
+            return (out / "report.json").read_bytes(), manifest["config"]
+
+        from_flag = mc("flag", base + flag)
+        assert mc("file", base, file_text) == from_flag
+        assert mc("both", base + flag, other) == from_flag
 
 
 class TestRealDataWorkflowShape:

@@ -185,6 +185,14 @@ class TestMcExperiment:
         with pytest.raises(ConfigError):
             mc_experiment([cfg], m=1, b=10, seed=None)
 
+    @pytest.mark.parametrize("configs, estimators", [
+        ([], ("S",)),
+        ([DgpConfig(beta_id=1, eta=1.0, n=40)], ()),
+    ])
+    def test_refuses_an_empty_grid_or_estimator_list(self, configs, estimators):
+        with pytest.raises(ConfigError, match="at least one"):
+            mc_experiment(configs, m=1, b=10, estimators=estimators, seed=1)
+
     def test_thread_count_does_not_change_results(self):
         cfg = DgpConfig(beta_id=2, delta=0.0, eta=1.0, n=40)
         r1 = mc_experiment([cfg], m=6, b=30, estimators=("S", "I"), seed=13, threads=1)
