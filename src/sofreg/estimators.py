@@ -17,11 +17,13 @@ cutoff of the all-curves basis it is given, while the completed-sample
 second stages decompose all n curves. With no missing responses the two
 bases coincide and every estimator collapses to its complete-data
 counterpart. What a sample alone determines (the observed-pairs basis at a
-cutoff, the observance fit, and the test's A matrices) is computed once per
-`MarSample` and kept on it, so callers pass none of it around.
+cutoff, the scores of the curves with missing responses in it, the
+observance fit, and the test's A matrices) is computed once per `MarSample`
+and kept on it, so callers pass none of it around.
 
-One completion rule, `_completed_responses`, serves both the second stage of
-a fit and the refits of the wild bootstrap.
+One completion rule, `_completed_responses`, serves the second stage of a
+fit, the joint leave-one-out CV that selects its two cutoffs, and the refits
+of the wild bootstrap.
 
 Coefficients come from ordinary least squares with an unpenalized intercept.
 Every design is a basis's own score rows, whose columns have zero mean, are
@@ -138,6 +140,15 @@ def _first_stage_basis(sample: MarSample, basis: FpcBasis) -> FpcBasis:
                            lambda: observed_pairs_basis(sample, cutoff))
 
 
+def _missing_scores(sample: MarSample, basis: FpcBasis) -> np.ndarray:
+    """Scores in `basis` of the curves whose responses are missing, once per sample and basis."""
+    # the entry holds `basis`, so no other basis can take its id while it is kept
+    return sample._derived(
+        ("missing_scores", id(basis)),
+        lambda: (basis, project_scores(basis, sample.x.values[~sample.r])),
+    )[1]
+
+
 @dataclass(frozen=True)
 class FunctionalSlope:
     """A fitted slope: coefficients on a set of FPC indices plus its curve.
@@ -196,24 +207,20 @@ def _plugin_fit(scores: np.ndarray, eigenvalues: np.ndarray, y: np.ndarray):
     return y.mean(axis=-1), (y @ scores) / (scores.shape[0] * eigenvalues)
 
 
-def _loo_pieces(scores: np.ndarray, eigenvalues: np.ndarray, y: np.ndarray):
-    """Plug-in fit plus the exact leave-one-out residuals of its nested fits.
+def _loo_residuals(scores: np.ndarray, eigenvalues: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact leave-one-out residuals of the nested plug-in fits on the first k columns.
 
     The inverse Gram of the design (1, S) is diag(1/n, 1/(n a_k)), so the fit
     on the first k columns has residuals y - alpha - sum_{j<=k} b_j S_ij and
     leverages 1/n + sum_{j<=k} S_ij^2 / (n a_j): cumulative sums over k.
-    Returns (alpha, coef, influence, loo_resid) where influence[i, k] =
-    S_ik / (n a_k) and loo_resid[i, k - 1] = e_i / (1 - h_i) is row i's
-    prediction error at k columns when it is excluded from the fit; that fit
-    is alpha - loo_resid[i, k - 1] / n and coef[:k] - influence[i, :k] *
-    loo_resid[i, k - 1].
+    Entry [i, k - 1] is e_i / (1 - h_i), row i's prediction error at k
+    columns when it is excluded from the fit.
     """
     n = scores.shape[0]
     alpha, coef = _plugin_fit(scores, eigenvalues, y)
-    influence = scores / (n * eigenvalues)
     resid = (y - alpha)[:, None] - np.cumsum(scores * coef, axis=1)
-    leverage = 1.0 / n + np.cumsum(influence * scores, axis=1)
-    return alpha, coef, influence, resid / np.maximum(1.0 - leverage, 1e-12)
+    leverage = 1.0 / n + np.cumsum(scores / (n * eigenvalues) * scores, axis=1)
+    return resid / np.maximum(1.0 - leverage, 1e-12)
 
 
 def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
@@ -228,7 +235,7 @@ def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
 
 
 def _simplified_cv_errors(ytilde, ob: FpcBasis, k_eff: int) -> np.ndarray:
-    loo_resid = _loo_pieces(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)[3]
+    loo_resid = _loo_residuals(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)
     return np.sum(loo_resid**2, axis=0)
 
 
@@ -244,77 +251,53 @@ def _first_stage_limit(ob: FpcBasis, sample: MarSample) -> int:
     return k_eff
 
 
-def _joint_cv_errors(ytilde, ob, obs, miss, scores_full, a_full, n,
-                     k1_eff, k2_eff, miss_scores_ob, inv_p_obs=None):
+def _joint_cv_table(sample: MarSample, basis: FpcBasis,
+                    ipw_weights: np.ndarray | None) -> np.ndarray:
     """CV error table over (K_first, K_second) for the two-stage pipelines.
 
-    For each observed i, the response is masked, the first stage is refit by
-    least squares on the remaining observed pairs at K_first (in the
-    observed-pairs basis), all missing responses (including the masked one)
-    are completed, the second stage is refit at K_second over all n in the
-    full basis, and the masked response is predicted. `inv_p_obs` switches
-    completion to the inverse-probability-weighted form.
+    Each observed response is masked in turn: the first stage is refit on the
+    other observed pairs at K_first, all responses are completed (the masked
+    one included), the second stage is refit at K_second over all n, and it
+    predicts the masked response. A least-squares fit without row i is the
+    fit to all rows with y~_i replaced by its leave-one-out prediction
+    y~_i - loo_i, so row i of an (n_obs, n_obs) stack holding y~ with that
+    entry replaced goes through `_completed_responses` as it is: the masked
+    row comes out as its first-stage prediction, imputed or blended
+    (w pred + (1 - w) pred = pred). Cumulative sums over K_second give each
+    row's prediction of its own masked response.
     """
-    s2_obs = scores_full[obs][:, :k2_eff]
-    s2_miss = scores_full[miss][:, :k2_eff]
-    w = np.ones(obs.size) if inv_p_obs is None else np.asarray(inv_p_obs, dtype=float)
-    base = s2_obs.T @ (w * ytilde)  # (k2_eff,)
-    removed = (w * ytilde)[:, None] * s2_obs  # (n_obs, k2_eff)
-    base0 = float(np.sum(w * ytilde))
-    removed0 = w * ytilde
-
-    s1 = ob.scores[:, :k1_eff]
-    alpha, coef, influence, loo_resid = _loo_pieces(s1, ob.eigenvalues[:k1_eff], ytilde)
-    errors = np.empty((k1_eff, k2_eff))
-    for ks in range(1, k1_eff + 1):
-        # first stage at ks columns without row i: row i of loo_alpha, loo_coef
-        loo_alpha = alpha - loo_resid[:, ks - 1] / obs.size
-        loo_coef = coef[:ks] - influence[:, :ks] * loo_resid[:, ks - 1:ks]
-        pred_self = loo_alpha + np.einsum("ik,ik->i", loo_coef, s1[:, :ks])
-        # Second-stage sums of completed_j(i) * S_jk (and * 1) per left-out i:
-        # observed j != i keep w_j y_j + (1 - w_j) pred_j, while the masked i
-        # and all missing rows carry their first-stage predictions.
-        numer = base[None, :] - removed
-        mean_acc = base0 - removed0
-        if inv_p_obs is not None:
-            pred_obs = loo_alpha[:, None] + loo_coef @ s1[:, :ks].T  # (left-out i, row j)
-            numer = numer + (pred_obs * (1.0 - w)[None, :]) @ s2_obs
-            mean_acc = mean_acc + pred_obs @ (1.0 - w)
-        numer = numer + (w * pred_self)[:, None] * s2_obs
-        mean_acc = mean_acc + w * pred_self
-        if miss.size:
-            pred_miss = loo_alpha[:, None] + loo_coef @ miss_scores_ob[:, :ks].T
-            numer = numer + pred_miss @ s2_miss
-            mean_acc = mean_acc + pred_miss.sum(axis=1)
-        # the plug-in fit of `_plugin_fit`, from the downdated sums
-        b_second = numer / (n * a_full[:k2_eff])[None, :]
-        alpha_second = mean_acc / n
-        pred_second = alpha_second[:, None] + np.cumsum(b_second * s2_obs, axis=1)
-        errors[ks - 1] = np.sum((ytilde[:, None] - pred_second) ** 2, axis=0)
-    return errors
-
-
-def joint_loocv_cutoffs(sample: MarSample, basis: FpcBasis, ipw: bool = False) -> tuple[int, int]:
-    """Jointly selected (K_first, K_second) for the imputed (or, with `ipw`, IPW) pipeline."""
-    _check_basis(sample, basis)
-    obs = sample.observed_index
-    miss = np.flatnonzero(~sample.r)
     ytilde = sample.y_observed - sample.observed_mean
     ob = _first_stage_basis(sample, basis)
     k1_eff = _first_stage_limit(ob, sample)
     k2_eff = min(basis.k_max, sample.n_obs - 1)
-    miss_scores_ob = (
-        project_scores(ob, sample.x.values[miss]) if miss.size else np.zeros((0, ob.k_max))
-    )
-    inv_p = None
-    if ipw:
-        inv_p = _normalized_inverse_probabilities(sample, _sample_observance(sample))[obs]
-    errors = _joint_cv_errors(
-        ytilde, ob, obs, miss, basis.scores, basis.eigenvalues,
-        sample.n, k1_eff, k2_eff, miss_scores_ob, inv_p,
-    )
+    loo_resid = _loo_residuals(ob.scores[:, :k1_eff], ob.eigenvalues[:k1_eff], ytilde)
+    s2 = basis.scores[:, :k2_eff]
+    s2_obs = s2[sample.observed_index]
+    masked = np.tile(ytilde, (ytilde.size, 1))
+    diag = np.diag_indices(ytilde.size)
+    errors = np.empty((k1_eff, k2_eff))
+    for ks in range(1, k1_eff + 1):
+        masked[diag] = ytilde - loo_resid[:, ks - 1]
+        first = _ols_slope("S", ob, range(1, ks + 1), ytilde, sample.observed_mean)
+        completed = _completed_responses(sample, first, masked, ipw_weights)
+        alpha, coef = _plugin_fit(s2, basis.eigenvalues[:k2_eff], completed)
+        pred = alpha[:, None] + np.cumsum(coef * s2_obs, axis=1)
+        errors[ks - 1] = np.sum((ytilde[:, None] - pred) ** 2, axis=0)
+    return errors
+
+
+def joint_loocv_cutoffs(sample: MarSample, basis: FpcBasis,
+                        ipw_weights: np.ndarray | None = None) -> tuple[int, int]:
+    """Jointly selected (K_first, K_second) for the imputed or IPW pipeline.
+
+    `ipw_weights` are the IPW completion weights of `_completed_responses`;
+    without them the missing responses are imputed.
+    """
+    _check_basis(sample, basis)
+    errors = _joint_cv_table(sample, basis, ipw_weights)
     # ties prefer small K_second, then K_first
-    k2, k1 = divmod(_first_cv_minimum(errors.T.ravel(), ytilde), k1_eff)
+    ytilde = sample.y_observed - sample.observed_mean
+    k2, k1 = divmod(_first_cv_minimum(errors.T.ravel(), ytilde), errors.shape[0])
     return k1 + 1, k2 + 1
 
 
@@ -416,8 +399,7 @@ def _completed_responses(sample: MarSample, first: FunctionalSlope, y_obs: np.nd
         completed[..., obs] = w * y_obs + (1.0 - w) * (alpha + coef @ s_obs.T)
     miss = np.flatnonzero(~sample.r)
     if miss.size:
-        s_miss = project_scores(first.basis, sample.x.values[miss])[:, cols]
-        completed[..., miss] = alpha + coef @ s_miss.T
+        completed[..., miss] = alpha + coef @ _missing_scores(sample, first.basis)[:, cols].T
     return completed
 
 
@@ -439,6 +421,9 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
     two_stage = completion in ("I", "W")
     ybar = sample.observed_mean
     ytilde = sample.y_observed - ybar
+    ipw_weights = None
+    if completion == "W":
+        ipw_weights = _normalized_inverse_probabilities(sample, _sample_observance(sample))
 
     # first stage: the observed pairs in their own basis; for I/IL/W/WL it is
     # the simplified fit (S or SL) with the same selector
@@ -450,7 +435,7 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
         first = _ols_slope(first_tag, ob, support, ytilde, ybar,
                            cutoffs={"indices": support}, diagnostics={"lambda": diag["lambda"]})
     elif two_stage:
-        k_s, k_second = joint_loocv_cutoffs(sample, basis, ipw=completion == "W")
+        k_s, k_second = joint_loocv_cutoffs(sample, basis, ipw_weights)
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s})
     else:
@@ -462,9 +447,6 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
         return first
 
     # second stage: all n responses, completed from the first stage
-    ipw_weights = None
-    if completion == "W":
-        ipw_weights = _normalized_inverse_probabilities(sample, _sample_observance(sample))
     completed = _completed_responses(sample, first, ytilde, ipw_weights)
     if lasso:
         indices, diag = lasso_select(basis.scores, completed, seed=seed)

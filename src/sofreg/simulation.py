@@ -63,10 +63,15 @@ def _ou_factor(grid: Grid) -> np.ndarray:
 
 
 def gen_ou_sample(n: int, grid: Grid, seed: int | np.random.Generator = 0) -> FunctionalSample:
-    """n independent zero-mean Gaussian paths with the OU covariance."""
+    """n independent zero-mean Gaussian paths with the OU covariance.
+
+    The product runs at one BLAS thread, like `_ou_factor`, so the curves do
+    not depend on the caller's thread count.
+    """
     rng = np.random.default_rng(seed)
     factor = _ou_factor(grid)
-    values = rng.standard_normal((n, grid.n_points)) @ factor.T
+    with single_blas_thread():
+        values = rng.standard_normal((n, grid.n_points)) @ factor.T
     return FunctionalSample(grid, values)
 
 
@@ -313,6 +318,14 @@ def mc_experiment(
     for t in tags:
         if t not in METHOD_TAGS:
             raise ConfigError(f"unknown estimator tag {t!r}")
+        if tags.count(t) > 1:
+            raise ConfigError(f"estimator tag {t!r} is given more than once")
+    # a cell is known by these four values in every report and file name
+    cells = [(c.beta_id, c.eta, c.n, c.delta) for c in configs]
+    for i, cell in enumerate(cells):
+        if cell in cells[:i]:
+            raise ConfigError("cell beta_id={}, eta={}, n={}, delta={} is given more than once"
+                              .format(*cell))
     root = np.random.SeedSequence(seed)
     arglist = [
         (config, b, tags, s)

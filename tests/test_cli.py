@@ -235,6 +235,19 @@ class TestBlasThreads:
                           for name in ("curves.csv", "responses.csv", "truth.json")])
         assert files[0] == files[1]
 
+    def test_generated_datasets_do_not_depend_on_the_blas_thread_count(
+            self, set_blas_threads):
+        # library callers, such as the benchmark's input writer, draw at their
+        # own thread count, outside cli.main
+        config = simulation.DgpConfig(beta_id=3, eta=1.0, n=100)
+        draws = []
+        for threads in (2, 1):
+            set_blas_threads(threads)
+            sample, full_y, _ = simulation.generate_dataset(config, 7)
+            assert set_blas_threads(threads) == threads
+            draws.append([a.tobytes() for a in (sample.x.values, full_y, sample.r)])
+        assert draws[0] == draws[1]
+
     def test_covariance_factor_does_not_depend_on_the_blas_thread_count(
             self, monkeypatch, set_blas_threads):
         # mc_experiment forks its workers with the cached factor, whatever
@@ -385,6 +398,31 @@ class TestMc:
         out = tmp_path / "mc"
         assert run(["mc", "--config", cfg, "--threads", 1, "--out", out]) == 3
         assert f"{cfg}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, values, message", [
+        ("--n", ["30", "30"], "cell beta_id=1, eta=1.0, n=30, delta=0.0 is given more than once"),
+        ("--delta", ["0", "0.0"], "cell beta_id=1, eta=1.0, n=30, delta=0.0 is given more than once"),
+        ("--estimators", ["S", "s"], "estimator tag 'S' is given more than once"),
+    ], ids=["n", "delta", "estimators"])
+    def test_refuses_a_repeated_cell_or_tag(self, tmp_path, capsys, flag, values, message):
+        # two cells of one name, or one tag run twice, would write colliding
+        # files, doubled manifest entries and indistinguishable rows
+        out = tmp_path / "mc"
+        # the last occurrence of a flag wins
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 30, "--delta", 0.0,
+                    "--m", 2, "--bootstrap", 10, "--estimators", "S", "--seed", 1,
+                    "--threads", 1, "--plots", "--out", out, flag, *values]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["n = 30, 30", "estimators = S, I, s"])
+    def test_config_file_refuses_a_repeated_value(self, tmp_path, capsys, line):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(f"beta_id = 1\neta = 1.0\n{line}\nm = 1\nbootstrap = 5\nseed = 4\n")
+        out = tmp_path / "mc"
+        assert run(["mc", "--config", cfg, "--threads", 1, "--out", out]) == 3
+        assert "is given more than once" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_names_the_line_of_a_malformed_value(self, tmp_path, capsys):

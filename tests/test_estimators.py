@@ -141,24 +141,23 @@ class TestSimplifiedCutoff:
 
 
 class TestJointCutoffs:
-    @pytest.mark.parametrize("mode", ["imputed", "ipw"])
-    def test_matches_brute_force(self, mode):
-        sample, basis, _ = make_mar_dataset(n=22, beta_id=3, eta=0.5, seed=6)
+    @pytest.mark.parametrize("mode, n, eta, delta, seed", [
+        ("imputed", 22, 0.5, 0.0, 6), ("ipw", 22, 0.5, 0.0, 6),
+        # the basis widths clip both limits, to K_first <= 4 and K_second <= 5
+        ("imputed", 40, 2.0, 0.03, 0), ("ipw", 40, 2.0, 0.03, 0),
+    ], ids=["imputed", "ipw", "imputed-n40", "ipw-n40"])
+    def test_matches_brute_force(self, mode, n, eta, delta, seed):
+        sample, basis, _ = make_mar_dataset(n=n, beta_id=3, eta=eta, delta=delta, seed=seed)
         ob = observed_pairs_basis(sample)
         observance = fit_observance(sample) if mode == "ipw" else None
-        from sofreg.estimators import _joint_cv_errors
+        from sofreg.estimators import _joint_cv_table
 
         k1_eff = min(ob.k_max, sample.n_obs - 1)
         k2_eff = min(basis.k_max, sample.n_obs - 1)
-        obs = sample.observed_index
-        miss = np.flatnonzero(~sample.r)
-        yt = sample.y_observed - sample.observed_mean
-        miss_ob = project_scores(ob, sample.x.values[miss]) if miss.size else np.zeros((0, ob.k_max))
-        inv_p = 1.0 / observance.fitted_probabilities[obs] if observance else None
-        fast = _joint_cv_errors(
-            yt, ob, obs, miss, basis.scores, basis.eigenvalues,
-            sample.n, k1_eff, k2_eff, miss_ob, inv_p,
-        )
+        weights = None
+        if observance:
+            weights = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
+        fast = _joint_cv_table(sample, basis, weights)
         brute = brute_joint_cv(sample, basis, ob, k1_eff, k2_eff, observance)
         np.testing.assert_allclose(fast, brute, rtol=1e-8)
 
