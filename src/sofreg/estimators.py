@@ -245,10 +245,16 @@ def _check_basis(sample: MarSample, basis: FpcBasis):
 
 
 def _first_stage_limit(ob: FpcBasis, sample: MarSample) -> int:
-    k_eff = min(ob.k_max, sample.n_obs - 1)
-    if k_eff < 1:
+    """Largest first-stage cutoff the leave-one-out CVs may try.
+
+    Without one of n_obs observed pairs, a fit on n_obs - 1 columns has as
+    many parameters as rows: its leverages are 1 and its CV error is round-off
+    over the leverage floor. So K stops at n_obs - 2 (at least 1); the
+    second stage, refit over all n rows, keeps its limit of n_obs - 1.
+    """
+    if sample.n_obs < 2 or ob.k_max < 1:
         raise ValueError("not enough observed pairs to fit any component")
-    return k_eff
+    return min(ob.k_max, max(1, sample.n_obs - 2))
 
 
 def _joint_cv_table(sample: MarSample, basis: FpcBasis,

@@ -6,7 +6,11 @@ integral has a closed form: a quadratic form of the observed-pair residuals
 in a matrix A built from spherical angles between score-difference vectors.
 Since the angles of a triangle sum to pi, A needs only two of the three
 angles of each triangle of distinct score points; coincident score rows
-enter as one point weighted by their count. Calibration resamples residuals
+enter as one point weighted by their count. The points are visited as
+vertices in blocks: one batched matmul and one arccos give the angles of
+every triangle at a block's vertices, and each block holds as many vertices
+as keep that angle tensor within a fixed entry budget, _BLOCK_ENTRIES, so
+its working set stays in cache. Calibration resamples residuals
 with golden-section multipliers and refits the slope coefficients with every
 selected structure (index sets, cutoffs, observance probabilities, and A
 itself) frozen at the original fit. A two-stage refit completes the
@@ -19,6 +23,7 @@ block and kept on the sample.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +38,10 @@ SCORE_COINCIDENCE_RTOL = 1e-12
 
 #: Vertex angles (radians) this close to 0 or pi are taken from chord lengths.
 _CHORD_ANGLE = 1e-4
+
+#: Entries (r1^2 per vertex) of one vertex block's angle tensor: 2^16 float64
+#: values, 512 KB, so that a block's working set stays in cache.
+_BLOCK_ENTRIES = 2**16
 
 GOLDEN_LOW = (1.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HIGH = (1.0 + math.sqrt(5.0)) / 2.0
@@ -114,27 +123,104 @@ def _unit_differences(block: np.ndarray):
     return diff, weights.astype(float), point
 
 
-def _vertex_angles(unit: np.ndarray, r: int) -> np.ndarray:
-    """t[a, b] = angle at point a of the triangle (a, b, r) for a, b < r; t[a, a] = pi.
+@functools.cache
+def _fringe_pattern(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (i, j) with j <= i < width: vertex r0 + j of a block against point r0 + i.
 
-    arccos magnifies the rounding of a cosine near +-1, so angles within
-    _CHORD_ANGLE of 0 or pi come from the chord between the two unit vectors.
+    Read-only, and cached: _BLOCK_ENTRIES keeps every width below 40.
     """
-    t = np.matmul(unit[:r, :r], unit[:r, r, :, None])[:, :, 0]
+    pattern = np.tril_indices(width)
+    for index in pattern:
+        index.setflags(write=False)
+    return pattern
+
+
+def _block_edges(n_p: int) -> list[int]:
+    """Edges 1 = e_0 < e_1 < ... = n_p of the vertex blocks over n_p points.
+
+    Block [r0, r1) holds the most vertices whose (r1, r1, r1 - r0) angle
+    tensor fits _BLOCK_ENTRIES, and at least one.
+    """
+    edges = [1]
+    while edges[-1] < n_p:
+        r0, width = edges[-1], 1
+        while r0 + width < n_p and (r0 + width + 1) ** 2 * (width + 1) <= _BLOCK_ENTRIES:
+            width += 1
+        edges.append(r0 + width)
+    return edges
+
+
+def _block_angles(unit: np.ndarray, r0: int, r1: int, fringe: tuple, out: np.ndarray) -> np.ndarray:
+    """t[a, b, j] = angle at point a of the triangle (a, b, r0 + j) for a, b < r0 + j.
+
+    One batched matmul into `out` gives the cosines of the block's vertices
+    r0 <= r < r1 with j = r - r0 last. t[a, a, j] = pi; the fringe, where a
+    or b is at or past r0 + j, is zero. arccos magnifies the rounding of a
+    cosine near +-1, so angles within _CHORD_ANGLE of 0 or pi come from the
+    chord between the two unit vectors. The fringe is zeroed before arccos
+    too (cosine 0), so it never reaches that fix-up.
+    """
+    width = r1 - r0
+    t = out[: r1 * r1 * width].reshape(r1, r1, width)
+    # a contiguous (r1, K, width) right operand: with the strided view the
+    # batched products of a wide block ran up to ~3x slower
+    np.matmul(unit[:r1, :r1], np.ascontiguousarray(unit[:r1, r0:r1].transpose(0, 2, 1)), out=t)
+    i, j = fringe
+    t[i, :, j] = 0.0
+    t[:, i, j] = 0.0
     np.clip(t, -1.0, 1.0, out=t)
     np.arccos(t, out=t)
     # in one dimension every cosine is exactly +-1 and arccos is exact
     if unit.shape[2] > 1:
         flat = np.flatnonzero((t < _CHORD_ANGLE) | (t > np.pi - _CHORD_ANGLE))
         if flat.size:
-            a, b = np.divmod(flat, r)
-            obtuse = t[a, b] > 0.5 * np.pi
-            away = np.where(obtuse, -1.0, 1.0)[:, None] * unit[a, r]
-            chord = np.linalg.norm(unit[a, b] - away, axis=1)
+            fa, fb, fj = np.unravel_index(flat, t.shape)
+            obtuse = t[fa, fb, fj] > 0.5 * np.pi
+            away = np.where(obtuse, -1.0, 1.0)[:, None] * unit[fa, r0 + fj]
+            chord = np.linalg.norm(unit[fa, fb] - away, axis=1)
             small = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
-            t[a, b] = np.where(obtuse, np.pi - small, small)
-    np.fill_diagonal(t, np.pi)
+            t[fa, fb, fj] = np.where(obtuse, np.pi - small, small)
+    t.reshape(r1 * r1, width)[:: r1 + 1] = np.pi
+    t[i, :, j] = 0.0
+    t[:, i, j] = 0.0
     return t
+
+
+def _half_sums(unit: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """half such that half + half.T sums, over third points, the terms between distinct points.
+
+    The angle tensor and the weighted sum of each block reuse two buffers:
+    a fresh array per block would pay its page faults every time. Only
+    blocks of two or more vertices fill the second one, and those have
+    r1^2 <= _BLOCK_ENTRIES / 2.
+    """
+    n_p = weights.size
+    edges = _block_edges(n_p)
+    angles = np.empty(max((r1 * r1 * (r1 - r0) for r0, r1 in zip(edges, edges[1:])), default=0))
+    weighted = np.empty(min(n_p * n_p, _BLOCK_ENTRIES // 2))
+    below = np.cumsum(weights) - weights  # rows at points before r (exact: counts)
+    half = np.zeros((n_p, n_p))
+    for r0, r1 in zip(edges, edges[1:]):
+        width = r1 - r0
+        i, j = _fringe_pattern(width)
+        fringe = (r0 + i, j)
+        t = _block_angles(unit, r0, r1, fringe, angles)
+        # the terms of third points b < r in A_ar: sum over b of
+        # w_b * (pi - t[b, a, r]); t[a, a] = pi drops b = a
+        pair_terms = np.pi * below[r0:r1] - (weights[:r1] @ t.reshape(r1, -1)).reshape(r1, width)
+        pair_terms[fringe] = 0.0
+        half[:r1, r0:r1] += pair_terms
+        # the terms of the block's vertices r in A_ab: sum over r of
+        # w_r * t[a, b, r]; for one vertex, scaling t in place beats a gemv
+        # over a single column
+        if width == 1:
+            t *= weights[r0]
+            half[:r1, :r1] += t[:, :, 0]
+        else:
+            terms = weighted[: r1 * r1]
+            np.dot(t.reshape(r1 * r1, width), weights[r0:r1], out=terms)
+            half[:r1, :r1] += terms.reshape(r1, r1)
+    return half
 
 
 def build_a_matrix(score_block: np.ndarray) -> AMatrix:
@@ -153,6 +239,11 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     a, b < r give all three entries of that triangle: r's term in A_ab, and
     the terms of b in A_ar and of a in A_br. That takes two arccos per
     triangle, where evaluating every angle at every vertex takes six.
+
+    The points r are visited in blocks r0 <= r < r1, each as wide as keeps
+    its (r1, r1, r1 - r0) angle tensor within _BLOCK_ENTRIES: one batched
+    matmul, one arccos and two contractions per block. Early blocks are
+    wide (39 vertices from r = 1); from r = 181 on, a block is one vertex.
     """
     block = np.asarray(score_block, dtype=float)
     if block.ndim == 1:
@@ -164,15 +255,8 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
         raise ValueError("need at least 2 score rows")
 
     unit, weights, point = _unit_differences(block)
-    n_p = weights.size
     # half + half.T sums, over third points, the terms between distinct points
-    half = np.zeros((n_p, n_p))
-    for r in range(1, n_p):
-        t = _vertex_angles(unit, r)
-        # sum over b < r of w_b * (pi - t[b, a]); t[a, a] = pi drops b = a
-        half[:r, r] = np.pi * weights[:r].sum() - weights[:r] @ t
-        t *= weights[r]
-        half[:r, :r] += t
+    half = _half_sums(unit, weights)
     total = half + half.T
     # third rows at l or at m each add pi; l and m at one point add pi per
     # other row and 2*pi per row there

@@ -12,6 +12,7 @@ FPCs at the 0.5% variance cutoff.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -87,6 +88,12 @@ def beta_curve(beta_id: int, grid: Grid) -> np.ndarray:
     raise ConfigError(f"unknown beta_id {beta_id!r}; expected 1, 2, or 3")
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """Raise ConfigError unless `value` is finite and nonnegative (NaN fails every comparison)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def gen_responses(
     x: FunctionalSample,
     beta_id: int,
@@ -95,10 +102,8 @@ def gen_responses(
     seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Responses y_i = <X_i, beta> + delta * ||X_i||^2 + N(0, sigma_eps^2)."""
-    if delta < 0:
-        raise ConfigError("delta must be nonnegative")
-    if sigma_eps < 0:
-        raise ConfigError("sigma_eps must be nonnegative")
+    _check_nonnegative("delta", delta)
+    _check_nonnegative("sigma_eps", sigma_eps)
     rng = np.random.default_rng(seed)
     beta = beta_curve(beta_id, x.grid)
     linear = (x.values * x.grid.quad_weights) @ beta
@@ -112,8 +117,8 @@ def gen_missing(
     x: FunctionalSample, eta: float, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
     """Observance indicators r_i ~ Bernoulli(1 / (1 + exp(-eta ||X_i||^2)))."""
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be finite and positive, got {eta}")
     rng = np.random.default_rng(seed)
     p = 1.0 / (1.0 + np.exp(-eta * x.sq_norms()))
     return rng.random(x.n) < p
@@ -144,17 +149,15 @@ class DgpConfig:
     def __post_init__(self):
         if self.beta_id not in (1, 2, 3):
             raise ConfigError("beta_id must be 1, 2, or 3")
-        if self.delta < 0:
-            raise ConfigError("delta must be nonnegative")
-        if self.eta is not None and self.eta <= 0:
-            raise ConfigError("eta must be positive when given")
+        _check_nonnegative("delta", self.delta)
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"eta must be finite and positive when given, got {self.eta}")
         if self.n < 10:
             raise ConfigError("n must be at least 10")
         if self.grid_points < 3:
             raise ConfigError("grid_points must be at least 3")
         # sigma_eps = 0 is allowed so noiseless round-trip checks are possible.
-        if self.sigma_eps < 0:
-            raise ConfigError("sigma_eps must be nonnegative")
+        _check_nonnegative("sigma_eps", self.sigma_eps)
 
     @property
     def grid(self) -> Grid:

@@ -1,11 +1,20 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sofreg.estimators import MarSample
 from sofreg.functional import Grid, fpc_decompose
 from sofreg.simulation import gen_missing, gen_ou_sample, gen_responses
 
 GRID = Grid.regular(0.0, 1.0, 201)
+
+# CI runs (GitHub Actions sets CI) draw the same examples on every run and
+# print a reproduction blob on failure; local runs keep the random search
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.0, sigma_eps=0.1, seed=0):

@@ -6,11 +6,12 @@ sums on a grid and a truncated score expansion. The estimator references refit b
 responses from a slope's public predictions, sharing no code with the
 pipeline in `sofreg.estimators`.
 
-The test oracles deliberately avoid the closed-form A-matrix route:
+The sphere oracles deliberately avoid the closed-form A-matrix route:
 directions are drawn uniformly on the unit sphere of the score space, the
 marked empirical process is evaluated through the projected ECDF, and the
 direction integral is the sphere surface area times the sample mean over
-draws. The bootstrap reference refits every replicate by itself at the
+draws. `per_vertex_a_matrix` evaluates the closed form one point at a
+time, the loop the blocked `build_a_matrix` replaces. The bootstrap reference refits every replicate by itself at the
 frozen structure and forms its quadratic form in A, the route the
 production quadratic form in the multipliers replaces. The LASSO oracle
 cross-validates fold by fold with one exact path per centred training fold
@@ -26,7 +27,14 @@ import numpy as np
 from sofreg.estimators import BANDWIDTH_FACTORS
 from sofreg.exceptions import GridMismatchError
 from sofreg.functional import FunctionalSample
-from sofreg.gof import _observed_score_rows, _refit_residuals, pcvm_statistic, residuals
+from sofreg.gof import (
+    _CHORD_ANGLE,
+    _observed_score_rows,
+    _refit_residuals,
+    _unit_differences,
+    pcvm_statistic,
+    residuals,
+)
 from sofreg.lasso import lambda_grid, lasso_path
 
 
@@ -195,6 +203,45 @@ def case_table_a_matrix(score_block):
                     total += abs(np.pi - np.arccos(cosang))
             out[l, m] = constant * total
     return out
+
+
+def per_vertex_a_matrix(score_block):
+    """A by one pass per point r: the vertex-by-vertex loop the blocked build replaces.
+
+    Shares `_unit_differences` (the coincidence rule) with the pipeline, and
+    at each r takes the angles at a and b of every triangle (a, b, r) with
+    a, b < r from one matmul and one arccos, angles within `_CHORD_ANGLE` of
+    0 or pi from chord lengths.
+    """
+    block = np.asarray(score_block, dtype=float)
+    if block.ndim == 1:
+        block = block[:, None]
+    n_s, n_k = block.shape
+    unit, weights, point = _unit_differences(block)
+    n_p = weights.size
+    half = np.zeros((n_p, n_p))
+    for r in range(1, n_p):
+        t = np.matmul(unit[:r, :r], unit[:r, r, :, None])[:, :, 0]
+        np.clip(t, -1.0, 1.0, out=t)
+        np.arccos(t, out=t)
+        if n_k > 1:
+            flat = np.flatnonzero((t < _CHORD_ANGLE) | (t > np.pi - _CHORD_ANGLE))
+            if flat.size:
+                a, b = np.divmod(flat, r)
+                obtuse = t[a, b] > 0.5 * np.pi
+                away = np.where(obtuse, -1.0, 1.0)[:, None] * unit[a, r]
+                chord = np.linalg.norm(unit[a, b] - away, axis=1)
+                small = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+                t[a, b] = np.where(obtuse, np.pi - small, small)
+        np.fill_diagonal(t, np.pi)
+        half[:r, r] = np.pi * weights[:r].sum() - weights[:r] @ t
+        t *= weights[r]
+        half[:r, :r] += t
+    total = half + half.T
+    total += np.pi * (weights[:, None] + weights[None, :])
+    np.fill_diagonal(total, np.pi * (n_s + weights))
+    total *= np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
+    return total[np.ix_(point, point)]
 
 
 def kkt_violation(design, y, beta, lam):

@@ -84,6 +84,15 @@ class TestSimulate:
         with pytest.raises(SystemExit):
             run(["simulate", "--beta-id", 1, "--out", tmp_path / "x"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["eta", "delta", "sigma_eps"])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, name, value):
+        out = tmp_path / "d"
+        flag = "--" + name.replace("_", "-")
+        assert run(["simulate", "--n", 30, f"{flag}={value}", "--seed", 1, "--out", out]) == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_noiseless_roundtrip_recovers_truth(self, noiseless_dataset, tmp_path):
@@ -423,6 +432,25 @@ class TestMc:
         out = tmp_path / "mc"
         assert run(["mc", "--config", cfg, "--threads", 1, "--out", out]) == 3
         assert "is given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["eta", "delta", "sigma_eps"])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_non_finite_setting_is_config_error(self, tmp_path, capsys, route, name, value):
+        # a NaN cell would run, escape the repeated-cell check and write
+        # "NaN", which is not JSON, into report.json
+        out = tmp_path / "mc"
+        argv = ["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                "--estimators", "S", "--seed", 1, "--threads", 1, "--out", out]
+        if route == "flag":
+            argv.append(f"--{name.replace('_', '-')}={value}")
+        else:
+            cfg = tmp_path / "mc.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            argv += ["--config", cfg]
+        assert run(argv) == 3
+        assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_names_the_line_of_a_malformed_value(self, tmp_path, capsys):

@@ -161,6 +161,36 @@ class TestJointCutoffs:
         brute = brute_joint_cv(sample, basis, ob, k1_eff, k2_eff, observance)
         np.testing.assert_allclose(fast, brute, rtol=1e-8)
 
+    def test_no_leave_one_out_cv_selects_an_interpolating_fit(self):
+        # n_obs = 5: without one observed pair, an intercept and K = 4 columns
+        # fit the 4 other rows exactly, so the leverage is 1 and the CV error
+        # at K = 4 was round-off over the leverage floor (4.7e-07, against at
+        # least 0.43 elsewhere); S, I and W all selected (1, 2, 3, 4)
+        from sofreg.estimators import _joint_cv_table
+
+        sample, basis, _ = make_mar_dataset(n=14, beta_id=3, eta=0.5, delta=0.03, seed=5)
+        ob = observed_pairs_basis(sample)
+        assert (sample.n_obs, ob.k_max, basis.k_max) == (5, 4, 5)
+        slope = fit_slope(sample, basis, "S")
+        brute = brute_simplified_cv(sample, ob, 3)
+        np.testing.assert_allclose(slope.diagnostics["cv_errors"], brute, rtol=1e-9)
+        assert slope.cutoffs["K_S"] == int(np.argmin(brute)) + 1
+        observance = fit_observance(sample)
+        for tag, weights, model in (
+            ("I", None, None),
+            ("W", np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0), observance),
+        ):
+            # the second stage refits over all 14 rows and keeps K <= n_obs - 1
+            table = _joint_cv_table(sample, basis, weights)
+            brute = brute_joint_cv(sample, basis, ob, 3, 4, model)
+            np.testing.assert_allclose(table, brute, rtol=1e-8)
+            cutoffs = fit_slope(sample, basis, tag).cutoffs
+            # ties prefer small K_second, then K_first
+            k2, k1 = divmod(int(np.argmin(brute.T.ravel())), 3)
+            assert (cutoffs["K_S"], cutoffs[f"K_{tag}"]) == (k1 + 1, k2 + 1)
+        for tag, key in (("SL", "indices"), ("IL", "first_stage"), ("WL", "first_stage")):
+            assert max(fit_slope(sample, basis, tag, seed=1).cutoffs[key]) <= 3
+
     def test_returns_valid_pair(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=7)
         ob = observed_pairs_basis(sample)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from oracles import (
     mc_a_matrix,
     mc_pcvm_statistic,
     per_replicate_bootstrap_statistics,
+    per_vertex_a_matrix,
 )
+from sofreg.blas import single_blas_thread
 import sofreg.estimators
 import sofreg.gof
 from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
@@ -160,6 +164,45 @@ class TestAMatrix:
         block = np.array([[1.0, 0.5], [1.0 + 0.8e-12, 0.5], [1.0 + 1.6e-12, 0.5], [0.0, 2.0]])
         with pytest.raises(ValueError, match="non-transitively"):
             build_a_matrix(block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 160), k=st.integers(1, 5),
+           edge=st.integers(0, 2**16), offsets=st.tuples(*[st.integers(0, 3)] * 2))
+    def test_property_vertex_blocks_match_the_per_vertex_loop(self, seed, n, k, edge, offsets):
+        # rows are visited in blocks of vertices; each block zeroes the
+        # fringe where a triangle's corner is at or past its vertex. A row
+        # copied across a block edge, and a near-collinear triple whose last
+        # point lies past the first block (so the chord fix-up runs there),
+        # stress the edges of that bookkeeping
+        rng = np.random.default_rng(seed)
+        block = rng.normal(size=(n, k))
+        edges = sofreg.gof._block_edges(n)
+        if len(edges) > 2:
+            e = edges[1 + edge % (len(edges) - 2)]
+            before, after = e - 1 - offsets[0], e + offsets[1]
+            if before >= 0 and after < n:
+                block[after] = block[before]
+            if n - edges[1] >= 3:
+                a, b, c = np.sort(rng.choice(np.arange(edges[1], n), size=3, replace=False))
+                # c near the line through a and b: angles of ~1e-7 rad at a and b
+                block[c] = block[a] + 1.7 * (block[b] - block[a]) + 1e-7 * rng.normal(size=k)
+        a_matrix = build_a_matrix(block).values
+        reference = per_vertex_a_matrix(block)
+        assert np.abs(a_matrix - reference).max() <= 1e-13 * np.abs(reference).max()
+
+    def test_one_build_keeps_the_peak_memory_of_the_per_vertex_loop(self):
+        # the per-vertex loop peaked at 25.1 MiB for this build (the
+        # (n, n, K) unit tensor is 13.7 MiB of it); the vertex blocks reuse
+        # two buffers and must not raise that peak
+        block = np.random.default_rng(0).normal(size=(600, 5))
+        with single_blas_thread():
+            tracemalloc.start()
+            try:
+                build_a_matrix(block)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 25.1 * 2**20
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 14), k=st.integers(1, 4),

@@ -161,6 +161,23 @@ class TestDgpConfig:
         with pytest.raises(ConfigError):
             DgpConfig(beta_id=1, sigma_eps=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["eta", "delta", "sigma_eps"])
+    def test_non_finite_setting_is_refused(self, name, value):
+        # NaN fails every comparison, so a sign check alone lets it through
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            DgpConfig(beta_id=1, n=30, **{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_generators_refuse_a_non_finite_setting(self, value):
+        x = gen_ou_sample(20, GRID, 0)
+        with pytest.raises(ConfigError, match="delta must be finite"):
+            gen_responses(x, 1, delta=value)
+        with pytest.raises(ConfigError, match="sigma_eps must be finite"):
+            gen_responses(x, 1, sigma_eps=value)
+        with pytest.raises(ConfigError, match="eta must be finite"):
+            gen_missing(x, value)
+
     def test_generate_dataset_requires_seed(self):
         with pytest.raises(ConfigError):
             generate_dataset(DgpConfig(beta_id=1))
