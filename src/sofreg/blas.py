@@ -4,6 +4,12 @@ The thread count is set through the library itself, found by its path in
 /proc/self/maps and opened with ctypes, since environment variables are read
 only once, when numpy loads. Where no OpenBLAS is found (another BLAS, or no
 /proc), every function here does nothing.
+
+The setter is called only when the count changes. Setting the count, even to
+the value it has, starts OpenBLAS's server thread in a freshly forked
+process, and that thread busy-waits on a core for ~0.1 s before it sleeps.
+A process forked at one thread therefore reads its inherited count and never
+calls the setter, so it keeps a single thread.
 """
 
 from __future__ import annotations
@@ -50,12 +56,16 @@ def _openblas():
 
 
 def set_blas_threads(count: int) -> int | None:
-    """Set the OpenBLAS thread count; returns the previous one (None: no OpenBLAS)."""
+    """Set the OpenBLAS thread count; returns the previous one (None: no OpenBLAS).
+
+    The library's setter is skipped when the count is already `count`.
+    """
     lib = _openblas()
     if lib is None:
         return None
     previous = int(lib[0]())
-    lib[1](int(count))
+    if previous != int(count):
+        lib[1](int(count))
     return previous
 
 

@@ -319,6 +319,19 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     return inv_p / inv_p[sample.r].mean()
 
 
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a nonempty 1-D array of finite floats, bit for bit.
+
+    It partitions at the indices `np.median` uses, the last one included, so
+    equal values (signed zeros among them) land where they land there, and
+    takes the mean of the one or two middle values as `np.median` does. It
+    does not import numpy.ma, which `np.median` does on its first call.
+    """
+    half = values.size // 2
+    middle = [half] if values.size % 2 else [half - 1, half]
+    return float(np.partition(values, middle + [-1])[middle].mean())
+
+
 def fit_observance(sample: MarSample) -> ObservanceModel:
     """Nadaraya-Watson fit of p(X) = P(R=1 | X) with a CV bandwidth.
 
@@ -333,7 +346,7 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
     off_diag = d[iu]
     if not np.any(off_diag > 0.0):
         raise DegenerateSampleError("all pairwise curve distances are zero")
-    med = float(np.median(off_diag))
+    med = _median(off_diag)
     if med <= 0.0:
         med = float(off_diag[off_diag > 0.0].mean())
 

@@ -294,14 +294,18 @@ def mc_experiment(
 
     Pass b = 0 to collect fits (MSEE, timing) without running the test.
     Replicate seeds are spawned from `seed` before dispatch, and every
-    replicate runs at one BLAS thread (in each worker process, or around the
-    serial loop, restoring the caller's count), so results are identical for
-    any `threads` value and core count. With threads > 1 the replicates of
-    all cells go, in cell order, through one worker pool; if a worker dies,
-    the replicates that have not come back run serially in this process
-    with the same seeds, so the report is unchanged, and `reruns` counts
-    them. Failed replicates keep NaN entries and are counted in `failures`,
-    never silently dropped.
+    replicate runs at one BLAS thread, so results are identical for any
+    `threads` value and core count: the count is set to one around the pool
+    and the serial loop alike, and the caller's count is restored after
+    them. The workers are forked at one thread and inherit it; as
+    `set_blas_threads` skips an unchanged count, none of them calls the
+    library's setter, which would start a BLAS server thread that spins on
+    a shared core through the worker's first replicate. With threads > 1
+    the replicates of all cells go, in cell order, through one worker pool;
+    if a worker dies, the replicates that have not come back run serially in
+    this process with the same seeds, so the report is unchanged, and
+    `reruns` counts them. Failed replicates keep NaN entries and are counted
+    in `failures`, never silently dropped.
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
@@ -337,20 +341,22 @@ def mc_experiment(
     ]
     results = []
     reruns = 0
-    if threads > 1:
-        # forked workers inherit the factor instead of each computing it
-        for config in configs:
-            _ou_factor(config.grid)
-        chunk = max(1, m // (8 * threads))
-        try:
-            with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
-                                     initargs=(1,)) as pool:
-                for result in pool.map(_run_replicate, arglist, chunksize=chunk):
-                    results.append(result)
-        except BrokenProcessPool:
-            # a worker died; the replicates that did not come back run below
-            reruns = len(arglist) - len(results)
+    # the pool forks inside this block; its initializer gives one BLAS thread
+    # to workers of other start methods and finds forked ones at one already
     with single_blas_thread():
+        if threads > 1:
+            # forked workers inherit the factor instead of each computing it
+            for config in configs:
+                _ou_factor(config.grid)
+            chunk = max(1, m // (8 * threads))
+            try:
+                with ProcessPoolExecutor(max_workers=threads, initializer=set_blas_threads,
+                                         initargs=(1,)) as pool:
+                    for result in pool.map(_run_replicate, arglist, chunksize=chunk):
+                        results.append(result)
+            except BrokenProcessPool:
+                # a worker died; the replicates that did not come back run below
+                reruns = len(arglist) - len(results)
         results.extend(_run_replicate(a) for a in arglist[len(results):])
 
     cells = []

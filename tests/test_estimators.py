@@ -15,6 +15,7 @@ from sofreg.estimators import (
     EPS_P,
     MarSample,
     ObservanceModel,
+    _median,
     fit_observance,
     fit_slope,
     joint_loocv_cutoffs,
@@ -371,6 +372,16 @@ class TestObservance:
         sample = MarSample(x, np.arange(5.0), np.ones(5, dtype=bool))
         with pytest.raises(DegenerateSampleError):
             fit_observance(sample)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41),
+           repeats=st.lists(st.integers(0, 40), max_size=20),
+           exponent=st.integers(-300, 300))
+    def test_property_median_matches_numpy_bitwise(self, values, repeats, exponent):
+        # repeated entries give ties, signed zeros among them; a power-of-two
+        # scale moves the exponents alone
+        a = np.array(values + [values[i % len(values)] for i in repeats]) * 2.0**exponent
+        assert np.float64(_median(a)).tobytes() == np.median(a).tobytes()
 
     def test_probabilities_clamped(self):
         sample, basis, _ = make_mar_dataset(n=60, beta_id=3, eta=0.5, seed=17)

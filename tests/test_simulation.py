@@ -1,4 +1,9 @@
+import functools
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +25,18 @@ from sofreg.simulation import (
 )
 
 GRID = Grid.regular(0.0, 1.0, 201)
+
+_run_replicate = simulation._run_replicate
+
+
+def _replicate_with_thread_counts(log, args):
+    """`simulation._run_replicate`, logging the process's thread count around it."""
+    before = len(os.listdir("/proc/self/task"))
+    out = _run_replicate(args)
+    after = len(os.listdir("/proc/self/task"))
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()} {before} {after}\n")
+    return out
 
 
 class TestOuSample:
@@ -262,6 +279,51 @@ class TestMcExperiment:
         finally:
             after = blas.set_blas_threads(previous)
         assert after == 2
+
+    def test_pool_workers_stay_single_threaded(self, tmp_path, monkeypatch):
+        # a worker that calls the OpenBLAS setter starts the library's server
+        # thread, which spins on a shared core through its first replicate
+        # (only where OpenBLAS loaded with more than one thread: loaded at
+        # one, as under OPENBLAS_NUM_THREADS=1, it has no server thread)
+        if blas._openblas() is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS and /proc")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the workers inherit the wrapper by fork")
+        log = tmp_path / "threads.txt"
+        monkeypatch.setattr(simulation, "_run_replicate",
+                            functools.partial(_replicate_with_thread_counts, str(log)))
+        configs = [DgpConfig(beta_id=3, delta=d, eta=1.0, n=40) for d in (0.0, 0.03)]
+        report = mc_experiment(configs, m=3, b=20, estimators=("W", "SL"), seed=25,
+                               threads=2)
+        assert report.reruns == 0
+        rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 6
+        assert all(int(pid) != os.getpid() for pid, _, _ in rows)
+        assert [(int(b), int(a)) for _, b, a in rows] == [(1, 1)] * 6
+
+    def test_a_replicate_does_not_import_numpy_ma(self):
+        # np.median imports numpy.ma on its first call: ~10 ms in the first
+        # replicate of every forked worker
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import sofreg.cli",
+            "from sofreg import simulation",
+            "print('numpy.ma' in sys.modules)",
+            "config = simulation.DgpConfig(beta_id=3, eta=1.0, n=40)",
+            "out = simulation._run_replicate((config, 20, ('W', 'WL'), np.random.SeedSequence(1)))",
+            "assert out['error'] is None",
+            "assert all(e['error'] is None for e in out['per_tag'].values())",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = os.path.dirname(os.path.dirname(simulation.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        at_import, after_replicate = done.stdout.split()
+        if at_import == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert after_replicate == "False"
 
     @pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError])
     def test_arithmetic_error_in_one_tag_is_counted(self, monkeypatch, error):
