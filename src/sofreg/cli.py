@@ -70,9 +70,12 @@ def _default_threads() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {env!r}")
+        return threads
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1

@@ -147,10 +147,26 @@ def fpc_decompose(
 
     Components are retained while they explain more than `var_cutoff` of the
     total variance, plus the first component at or below the cutoff (K_max
-    grows until its last component explains at most `var_cutoff`). Works
-    through the SVD of the quadrature-weighted, centered data matrix scaled
-    by 1/sqrt(n), which is equivalent to eigensolving the discretized
-    covariance kernel but numerically stabler.
+    grows until its last component explains at most `var_cutoff`).
+
+    With C the centered curves times sqrt(w / n) (w the quadrature weights),
+    the eigenvalues are those of the smaller of the two Gram matrices of C
+    (Ramsay & Silverman 2005, Functional Data Analysis, sec. 8.4):
+
+    - n <= grid points: C C' = U diag(lambda) U', scores sqrt(n) U_k s_k and
+      eigenfunctions C' U_k / s_k / sqrt(w), with s_k = sqrt(lambda_k); the
+      scores skip the product with C, which would carry the error of U_k
+      along the larger components into them;
+    - otherwise: C'C = V diag(lambda) V', eigenfunctions V_k / sqrt(w) and
+      scores sqrt(n) C V_k.
+
+    Eigenvalues are sorted in descending order and clamped at zero. A
+    symmetric eigensolver perturbs each by a few eps * lambda_1, so lambda_k
+    keeps a relative accuracy of about eps * lambda_1 / lambda_k, and an
+    eigenfunction about eps * lambda_1 over its eigenvalue gap; a retained
+    component explains more than the cutoff of the variance, which bounds
+    lambda_1 / lambda_k. The thin SVD of C gives the same basis within
+    these bounds at about two to three times the cost.
 
     Raises
     ------
@@ -159,15 +175,18 @@ def fpc_decompose(
     """
     if not 0.0 < var_cutoff <= 1.0:
         raise ValueError("var_cutoff must lie in (0, 1]")
-    if sample.n < 2:
+    n = sample.n
+    if n < 2:
         raise DegenerateSampleError("need at least 2 curves to decompose")
     centered, mean_curve = center(sample)
 
     sqrt_w = np.sqrt(sample.grid.quad_weights)
-    scaled = centered.values * sqrt_w / np.sqrt(sample.n)
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    scaled = centered.values * (sqrt_w / np.sqrt(n))
+    curves_side = n <= sample.grid.n_points
+    gram = scaled @ scaled.T if curves_side else scaled.T @ scaled
+    eigenvalues, vectors = np.linalg.eigh(gram)
+    eigenvalues = np.maximum(eigenvalues[::-1], 0.0)
 
-    eigenvalues = s**2
     total = float(eigenvalues.sum())
     # relative to the data's own range, so the same curves in other units
     # decompose alike; equal constant curves can center to rounding dust
@@ -182,8 +201,14 @@ def fpc_decompose(
     if k_max < ratios.size and eigenvalues[k_max] > 1e-12 * eigenvalues[0]:
         k_max += 1
 
-    eigenfunctions = vt[:k_max] / sqrt_w
-    scores = np.sqrt(sample.n) * u[:, :k_max] * s[:k_max]
+    top = vectors[:, ::-1][:, :k_max]
+    if curves_side:
+        s = np.sqrt(eigenvalues[:k_max])
+        eigenfunctions = (top.T @ scaled) / s[:, None] / sqrt_w
+        scores = np.sqrt(n) * top * s
+    else:
+        eigenfunctions = top.T / sqrt_w
+        scores = np.sqrt(n) * (scaled @ top)
 
     # Deterministic sign: largest-magnitude entry of each eigenfunction is positive.
     for k in range(k_max):

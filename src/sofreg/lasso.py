@@ -15,7 +15,13 @@ each costs one small solve; the cost is in numpy calls, not arithmetic.
 Paths are therefore followed in lockstep over a stack of problems: the CV
 folds and the full sample of one selection move together, one batched solve
 per step, with every inactive row and column of a Gram matrix replaced by
-the identity so that inactive coefficients solve to exactly zero.
+the identity so that inactive coefficients solve to exactly zero. The step
+state is kept across steps and changed only where a column joins or drops:
+the solve's right-hand side (the active columns' correlations X'y and
+signs, zero elsewhere), the active set, the step at which each column
+joined (the drop tie-break), and two masks of the columns that may drop and
+the (column, sign) pairs that may join, which exclude the reverse of each
+member's last event for one step.
 Cross-validation evaluates every fold's exact path on the glmnet-style grid
 and applies the one-standard-error rule (Friedman, Hastie & Tibshirani 2010,
 J. Stat. Softw.). Scores are deliberately left unstandardized: their scale
@@ -32,22 +38,13 @@ LAMBDA_MIN_RATIO = 1e-4
 #: Cross-validation folds of `lasso_select` (fewer when n is smaller).
 FOLDS = 10
 
+#: The penalty grid over lambda_max: descending log spacing from 1 to
+#: LAMBDA_MIN_RATIO. It is unit-free and multiplied by lambda_max last, so
+#: data rescaled by a power of two give a grid rescaled exactly.
+UNIT_LAMBDAS = np.geomspace(1.0, LAMBDA_MIN_RATIO, N_LAMBDAS)
+UNIT_LAMBDAS.setflags(write=False)
 
-def lambda_max(design: np.ndarray, y: np.ndarray) -> float:
-    """Smallest penalty that forces the all-zero solution (gradient bound)."""
-    return float(np.max(np.abs(2.0 * design.T @ y)))
-
-
-def lambda_grid(design: np.ndarray, y: np.ndarray, n_lambdas: int = N_LAMBDAS) -> np.ndarray:
-    """Descending log-spaced grid spanning [lambda_max * 1e-4, lambda_max].
-
-    The log spacing is unit-free and multiplied by lambda_max last, so data
-    rescaled by a power of two give a grid rescaled exactly.
-    """
-    lmax = lambda_max(design, y)
-    if lmax <= 0.0:
-        return np.full(n_lambdas, 0.0)
-    return lmax * np.geomspace(1.0, LAMBDA_MIN_RATIO, n_lambdas)
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,
@@ -75,73 +72,88 @@ def _exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,
         return out
 
     members = np.arange(n_members)
-    cols = np.arange(k)
     eye = np.eye(k)
     first = np.argmax(np.abs(cty), axis=1)
     active = np.zeros((n_members, k), dtype=bool)
     active[members, first] = True
-    signs = np.zeros((n_members, k))
-    signs[members, first] = np.sign(cty[members, first])
+    # The right-hand side of every solve: masked correlations and signs,
+    # changed only where a column joins or drops.
+    rhs = np.zeros((n_members, k, 2))
+    rhs[members, first, 0] = cty[members, first]
+    rhs[members, first, 1] = np.sign(cty[members, first])
+    signs = rhs[:, :, 1]
     joined_at = np.zeros((n_members, k), dtype=int)  # step at which each column joined
     mu = np.array(mu_top, dtype=float)
-    # The event each member just took; its reverse at the same mu is rounding
-    # noise and is excluded for one step only, so a later rejoin still counts.
-    last_col, last_join, last_sign = first, np.ones(n_members, dtype=bool), signs[members, first]
-    join_signs = np.array([1.0, -1.0])
-    segments = []  # (u, v, lower kink) per step; -inf marks members already done
+    # Which active columns may drop and which inactive ones may join with
+    # which sign. The reverse of the event a member just took, at the same mu,
+    # is rounding noise: a column that just joined cannot drop, nor one that
+    # just dropped rejoin with its old sign, for one step only, so a later
+    # rejoin counts.
+    may_drop = np.zeros((n_members, k), dtype=bool)
+    may_join = np.repeat(~active[:, :, None], 2, axis=2)
+    # Every step's candidate kinks: drops by column, then joins by (column,
+    # sign), so the first maximum takes drops before joins, the lowest
+    # column first and + before -; -inf marks a column with no candidate.
+    kinks = np.empty((n_members, 3 * k))
+    drops = kinks[:, :k]
+    joins = kinks[:, k:].reshape(n_members, k, 2)
+    sols = []
+    lowers = []  # lower kink per step; -inf marks members already done
     # A path has finitely many kinks; a cap turns a numerical cycle into an error.
     for step in range(1, 100 * (k + 1) + 1):
         padded = np.where(active[:, :, None] & active[:, None, :], gram, eye)
-        rhs = np.stack([np.where(active, cty, 0.0), signs], axis=2)
         sol = np.linalg.solve(padded, rhs)
-        u, v = sol[..., 0], sol[..., 1]
+        u, v = sol[:, :, 0], sol[:, :, 1]
+        kinks.fill(-np.inf)
+
+        toward_zero = may_drop & (signs * v < 0.0)
+        np.divide(u, v, out=drops, where=toward_zero)
+
+        # c_j(mu) = base_j + mu * slope_j with base = c - G u and slope = G v;
+        # sign * c_j - mu grows as mu falls when 1 - sign * slope_j > 0. Both
+        # products are matrix-vector ones, taken in one call: a matrix-matrix
+        # product rounds them differently, and that moves exact ties.
+        moved = np.matmul(gram[:, None], sol.transpose(0, 2, 1)[:, :, :, None])[:, :, :, 0]
+        numer = (cty - moved[:, 0])[:, :, None] * _PLUS_MINUS
+        denom = 1.0 - moved[:, 1, :, None] * _PLUS_MINUS
+        np.divide(numer, denom, out=joins, where=may_join & (denom > 0.0))
 
         # Next kink below mu; candidates above mu are rounding and clamp to it.
-        toward_zero = active & (signs * v < 0.0)
-        toward_zero &= ~(last_join[:, None] & (cols == last_col[:, None]))
-        drop = np.minimum(mu[:, None], np.divide(u, v, out=np.full_like(u, -np.inf),
-                                                 where=toward_zero))
-        best_drop = drop.max(axis=1)
-        tied = toward_zero & (drop == best_drop[:, None])
-        drop_col = np.argmin(np.where(tied, joined_at, step), axis=1)
-
-        # c_j(mu) = base_j + mu * slope_j; sign * c_j - mu grows as mu falls
-        # when the denominator 1 - sign * slope_j is positive.
-        base = cty - (gram @ u[:, :, None])[:, :, 0]
-        slope = (gram @ v[:, :, None])[:, :, 0]
-        numer = np.stack([base, -base], axis=2)
-        denom = np.stack([1.0 - slope, 1.0 + slope], axis=2)
-        rejoin = ((cols[:, None] == last_col[:, None, None])
-                  & (join_signs == last_sign[:, None, None]) & ~last_join[:, None, None])
-        joinable = ~active[:, :, None] & (denom > 0.0) & ~rejoin
-        join = np.minimum(mu[:, None, None], np.divide(numer, denom, out=np.full_like(numer, -np.inf),
-                                                       where=joinable)).reshape(n_members, 2 * k)
-        pick = np.argmax(join, axis=1)  # first maximum: lowest column, + before -
-        best_join = join[members, pick]
-
-        mu_next = np.maximum(np.maximum(best_drop, best_join), 0.0)
-        segments.append((u, v, np.where(live, mu_next, -np.inf)))
+        np.minimum(mu[:, None], kinks, out=kinks)
+        pick = np.argmax(kinks, axis=1)
+        best = kinks[members, pick]
+        mu_next = np.maximum(best, 0.0)
+        sols.append(sol)
+        lowers.append(np.where(live, mu_next, -np.inf))
         live &= mu_next > lowest  # no event means mu_next = 0, the end of the path
         if not live.any():
             break
-        is_drop = best_drop >= best_join
-        col = np.where(is_drop, drop_col, pick // 2)
-        sign = np.where(is_drop, signs[members, drop_col], join_signs[pick % 2])
-        m, c = members[live], col[live]
-        active[m, c] = ~is_drop[live]
-        signs[m, c] = np.where(is_drop[live], 0.0, sign[live])
-        joined_at[m, c] = step
-        last_col = np.where(live, col, last_col)
-        last_join = np.where(live, ~is_drop, last_join)
-        last_sign = np.where(live, sign, last_sign)
+        m = members[live]
+        dropped = pick[m] < k
+        col, minus = np.divmod(pick[m] - k, 2)
+        sign = _PLUS_MINUS[minus]
+        if dropped.any():
+            d = m[dropped]
+            tied = toward_zero[d] & (drops[d] == best[d, None])
+            col[dropped] = np.argmin(np.where(tied, joined_at[d], step), axis=1)
+            sign[dropped] = signs[d, col[dropped]]
+        active[m, col] = ~dropped
+        rhs[m, col, 0] = np.where(dropped, 0.0, cty[m, col])
+        rhs[m, col, 1] = np.where(dropped, 0.0, sign)
+        joined_at[m, col] = step
+        may_drop[m] = active[m]
+        may_drop[m, col] = False
+        may_join[m] = ~active[m, :, None]
+        may_join[m, col, (sign < 0.0).astype(int)] = False
         mu = mu_next
     else:
         raise ValueError("LASSO path did not terminate; the design is degenerate")
 
-    u_all, v_all, lower = (np.stack(parts) for parts in zip(*segments))
+    sol_all, lower = np.stack(sols), np.stack(lowers)
     # Each mu lies on the first segment whose lower kink it reaches.
     seg = np.count_nonzero(lower[:, :, None] > mus, axis=0)  # (F, L)
-    out = u_all[seg, members[:, None]] - mus[:, None] * v_all[seg, members[:, None]]
+    on = sol_all[seg, members[:, None]]
+    out = on[..., 0] - mus[:, None] * on[..., 1]
     out[mus >= mu_top[:, None]] = 0.0
     return out
 
@@ -151,25 +163,13 @@ def _check_gram(gram: np.ndarray, what: str) -> None:
         raise ValueError(what)
 
 
-def _full_problem(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Checked Gram, correlations and first-join half-penalty of one design."""
+def _full_gram(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Checked Gram matrix of one design."""
     if not (np.all(np.isfinite(design)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite inputs to the LASSO")
     gram = design.T @ design
     _check_gram(gram, "design has a zero column; the LASSO path is undefined")
-    return gram, design.T @ y, lambda_max(design, y) / 2.0
-
-
-def lasso_path(design: np.ndarray, y: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """Exact coefficient path at the given penalties (any order).
-
-    Returns an (L, K) array; row l solves the objective at lambdas[l].
-    """
-    gram, cty, mu_top = _full_problem(np.asarray(design, dtype=float), np.asarray(y, dtype=float))
-    lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(lambdas < 0.0):
-        raise ValueError("penalties must be nonnegative")
-    return _exact_path(gram[None], cty[None], lambdas / 2.0, np.array([mu_top]))[0]
+    return gram
 
 
 def lasso_select(
@@ -192,9 +192,11 @@ def lasso_select(
 
     xc = design - design.mean(axis=0)
     yc = y - y.mean()
-    lambdas = lambda_grid(xc, yc)
-    if lambdas[0] <= 0.0:  # y orthogonal to every column: nothing to select
+    full_cty = xc.T @ yc
+    lambda_max = float(np.max(np.abs(2.0 * full_cty)))  # the all-zero solution's bound
+    if lambda_max <= 0.0:  # y orthogonal to every column: nothing to select
         return (1,), {"lambda": 0.0, "cv": None}
+    lambdas = lambda_max * UNIT_LAMBDAS
 
     # Every fold as a masked copy of the sample, centred on its training rows.
     train = assignment != np.arange(folds)[:, None]  # (folds, n)
@@ -206,12 +208,11 @@ def lasso_select(
     gram = xf.transpose(0, 2, 1) @ xf
     _check_gram(gram, "a CV fold left a zero design column; the LASSO path is undefined")
     cty = (xf.transpose(0, 2, 1) @ (y - y_mean[:, None])[:, :, None])[:, :, 0]
-    full_gram, full_cty, full_top = _full_problem(xc, yc)
     paths = _exact_path(
-        np.concatenate([gram, full_gram[None]]),
+        np.concatenate([gram, _full_gram(xc, yc)[None]]),
         np.concatenate([cty, full_cty[None]]),
         lambdas / 2.0,
-        np.append(np.max(np.abs(cty), axis=1), full_top),
+        np.append(np.max(np.abs(cty), axis=1), lambda_max / 2.0),
     )
 
     # Test rows grouped by fold in their original order, zero-weight padded.

@@ -16,7 +16,12 @@ frozen structure and forms its quadratic form in A, the route the
 production quadratic form in the multipliers replaces. The LASSO oracle
 cross-validates fold by fold with one exact path per centred training fold
 instead of one batched path over all folds, and `kkt_violation` measures
-how far a coefficient vector is from optimal. The Nadaraya-Watson reference
+how far a coefficient vector is from optimal. `lambda_max` and
+`lambda_grid` give the selector's penalty grid, and `lasso_path` runs one design
+through the selector's homotopy; `reference_exact_path` is that homotopy
+as it was before its step state was kept across steps, which the selector
+must match bit for bit. `svd_fpc_decompose` takes the FPCs from the thin
+SVD of the weighted data matrix instead of the smaller Gram matrix. The Nadaraya-Watson reference
 scores every candidate bandwidth by an explicit leave-one-out loop.
 """
 
@@ -25,8 +30,8 @@ import math
 import numpy as np
 
 from sofreg.estimators import BANDWIDTH_FACTORS
-from sofreg.exceptions import GridMismatchError
-from sofreg.functional import FunctionalSample
+from sofreg.exceptions import DegenerateSampleError, GridMismatchError
+from sofreg.functional import DEFAULT_VAR_CUTOFF, FunctionalSample
 from sofreg.gof import (
     _CHORD_ANGLE,
     _observed_score_rows,
@@ -35,7 +40,7 @@ from sofreg.gof import (
     pcvm_statistic,
     residuals,
 )
-from sofreg.lasso import lambda_grid, lasso_path
+from sofreg.lasso import LAMBDA_MIN_RATIO, N_LAMBDAS, _exact_path, _full_gram
 
 
 def _as_curve(grid, f):
@@ -63,6 +68,34 @@ def reconstruct(basis, n_components=None):
     """Centered-curve reconstruction from the first `n_components` FPCs."""
     k = basis.k_max if n_components is None else n_components
     return basis.scores[:, :k] @ basis.eigenfunctions[:k]
+
+
+def svd_fpc_decompose(sample, var_cutoff=DEFAULT_VAR_CUTOFF):
+    """FPC basis from the thin SVD of the weighted, centered data matrix.
+
+    The route `fpc_decompose` took before it eigensolved the smaller Gram
+    matrix, kept as its reference: the same K rule, sign rule and degeneracy
+    test on the singular values.
+    """
+    if sample.n < 2:
+        raise DegenerateSampleError("need at least 2 curves to decompose")
+    centered = sample.values - sample.values.mean(axis=0)
+    sqrt_w = np.sqrt(sample.grid.quad_weights)
+    u, s, vt = np.linalg.svd(centered * sqrt_w / np.sqrt(sample.n), full_matrices=False)
+    eigenvalues = s**2
+    total = float(eigenvalues.sum())
+    scale = sample.values.max() - sample.values.min()
+    if scale == 0.0 or total <= 1e-24 * scale**2:
+        raise DegenerateSampleError("sample covariance operator is null")
+    ratios = eigenvalues / total
+    k_max = max(1, int(np.sum(ratios > var_cutoff)))
+    if k_max < ratios.size and eigenvalues[k_max] > 1e-12 * eigenvalues[0]:
+        k_max += 1
+    eigenfunctions = vt[:k_max] / sqrt_w
+    scores = np.sqrt(sample.n) * u[:, :k_max] * s[:k_max]
+    flip = eigenfunctions[np.arange(k_max), np.argmax(np.abs(eigenfunctions), axis=1)] < 0
+    sign = np.where(flip, -1.0, 1.0)
+    return eigenvalues, eigenfunctions * sign[:, None], scores * sign
 
 
 def ols_fpc_coefficients(basis, y, index_set, weight_index):
@@ -242,6 +275,137 @@ def per_vertex_a_matrix(score_block):
     np.fill_diagonal(total, np.pi * (n_s + weights))
     total *= np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
     return total[np.ix_(point, point)]
+
+
+def reference_exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,
+                mu_top: np.ndarray) -> np.ndarray:
+    """`sofreg.lasso._exact_path` as it stood before its step state was kept
+    across steps: the reference its outputs must equal bit for bit.
+
+    Exact LASSO coefficients of a stack of F problems at shared half-penalties.
+
+    `gram` is (F, K, K), `cty` (F, K), `mus` (L,) nonnegative in any order, and
+    `mu_top` (F,) the kink where each problem's first column joins;
+    coefficients are zero at and above it. Returns an (F, L, K) array.
+
+    All members take one step per iteration: one batched solve on Grams whose
+    inactive rows and columns are the identity, then every member's next kink
+    from vectorised join and drop candidates. A member stops once its kink
+    passes the smallest requested mu, and the loop ends when all have. Ties
+    resolve as one path followed alone would: drops before joins, drops in
+    the order their columns joined, joins by column index with + before -.
+    """
+    n_members, k = cty.shape
+    out = np.zeros((n_members, mus.size, k))
+    if mus.size == 0:
+        return out
+    lowest = float(mus.min())
+    live = mu_top > lowest
+    if not live.any():
+        return out
+
+    members = np.arange(n_members)
+    cols = np.arange(k)
+    eye = np.eye(k)
+    first = np.argmax(np.abs(cty), axis=1)
+    active = np.zeros((n_members, k), dtype=bool)
+    active[members, first] = True
+    signs = np.zeros((n_members, k))
+    signs[members, first] = np.sign(cty[members, first])
+    joined_at = np.zeros((n_members, k), dtype=int)  # step at which each column joined
+    mu = np.array(mu_top, dtype=float)
+    # The event each member just took; its reverse at the same mu is rounding
+    # noise and is excluded for one step only, so a later rejoin still counts.
+    last_col, last_join, last_sign = first, np.ones(n_members, dtype=bool), signs[members, first]
+    join_signs = np.array([1.0, -1.0])
+    segments = []  # (u, v, lower kink) per step; -inf marks members already done
+    # A path has finitely many kinks; a cap turns a numerical cycle into an error.
+    for step in range(1, 100 * (k + 1) + 1):
+        padded = np.where(active[:, :, None] & active[:, None, :], gram, eye)
+        rhs = np.stack([np.where(active, cty, 0.0), signs], axis=2)
+        sol = np.linalg.solve(padded, rhs)
+        u, v = sol[..., 0], sol[..., 1]
+
+        # Next kink below mu; candidates above mu are rounding and clamp to it.
+        toward_zero = active & (signs * v < 0.0)
+        toward_zero &= ~(last_join[:, None] & (cols == last_col[:, None]))
+        drop = np.minimum(mu[:, None], np.divide(u, v, out=np.full_like(u, -np.inf),
+                                                 where=toward_zero))
+        best_drop = drop.max(axis=1)
+        tied = toward_zero & (drop == best_drop[:, None])
+        drop_col = np.argmin(np.where(tied, joined_at, step), axis=1)
+
+        # c_j(mu) = base_j + mu * slope_j; sign * c_j - mu grows as mu falls
+        # when the denominator 1 - sign * slope_j is positive.
+        base = cty - (gram @ u[:, :, None])[:, :, 0]
+        slope = (gram @ v[:, :, None])[:, :, 0]
+        numer = np.stack([base, -base], axis=2)
+        denom = np.stack([1.0 - slope, 1.0 + slope], axis=2)
+        rejoin = ((cols[:, None] == last_col[:, None, None])
+                  & (join_signs == last_sign[:, None, None]) & ~last_join[:, None, None])
+        joinable = ~active[:, :, None] & (denom > 0.0) & ~rejoin
+        join = np.minimum(mu[:, None, None], np.divide(numer, denom, out=np.full_like(numer, -np.inf),
+                                                       where=joinable)).reshape(n_members, 2 * k)
+        pick = np.argmax(join, axis=1)  # first maximum: lowest column, + before -
+        best_join = join[members, pick]
+
+        mu_next = np.maximum(np.maximum(best_drop, best_join), 0.0)
+        segments.append((u, v, np.where(live, mu_next, -np.inf)))
+        live &= mu_next > lowest  # no event means mu_next = 0, the end of the path
+        if not live.any():
+            break
+        is_drop = best_drop >= best_join
+        col = np.where(is_drop, drop_col, pick // 2)
+        sign = np.where(is_drop, signs[members, drop_col], join_signs[pick % 2])
+        m, c = members[live], col[live]
+        active[m, c] = ~is_drop[live]
+        signs[m, c] = np.where(is_drop[live], 0.0, sign[live])
+        joined_at[m, c] = step
+        last_col = np.where(live, col, last_col)
+        last_join = np.where(live, ~is_drop, last_join)
+        last_sign = np.where(live, sign, last_sign)
+        mu = mu_next
+    else:
+        raise ValueError("LASSO path did not terminate; the design is degenerate")
+
+    u_all, v_all, lower = (np.stack(parts) for parts in zip(*segments))
+    # Each mu lies on the first segment whose lower kink it reaches.
+    seg = np.count_nonzero(lower[:, :, None] > mus, axis=0)  # (F, L)
+    out = u_all[seg, members[:, None]] - mus[:, None] * v_all[seg, members[:, None]]
+    out[mus >= mu_top[:, None]] = 0.0
+    return out
+
+
+
+def lambda_max(design, y):
+    """Smallest penalty that forces the all-zero solution (gradient bound)."""
+    return float(np.max(np.abs(2.0 * design.T @ y)))
+
+
+def lambda_grid(design, y, n_lambdas=N_LAMBDAS):
+    """Descending log-spaced grid spanning [lambda_max * 1e-4, lambda_max],
+    the selector's grid at n_lambdas = N_LAMBDAS."""
+    lmax = lambda_max(design, y)
+    if lmax <= 0.0:
+        return np.full(n_lambdas, 0.0)
+    return lmax * np.geomspace(1.0, LAMBDA_MIN_RATIO, n_lambdas)
+
+
+def lasso_path(design, y, lambdas):
+    """Exact coefficient path of one design at the given penalties (any order).
+
+    Runs the selector's homotopy `_exact_path` and its input checks on a
+    stack of one problem. Returns an (L, K) array; row l solves the
+    objective at lambdas[l].
+    """
+    design = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    gram = _full_gram(design, y)
+    lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(lambdas < 0.0):
+        raise ValueError("penalties must be nonnegative")
+    return _exact_path(gram[None], (design.T @ y)[None], lambdas / 2.0,
+                       np.array([lambda_max(design, y) / 2.0]))[0]
 
 
 def kkt_violation(design, y, beta, lam):

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import GRID, make_mar_dataset
-from oracles import kkt_violation, mc_a_matrix, mc_pcvm_statistic, ols_fpc_coefficients
+from oracles import (
+    kkt_violation,
+    lambda_grid,
+    lambda_max,
+    lasso_path,
+    mc_a_matrix,
+    mc_pcvm_statistic,
+    ols_fpc_coefficients,
+)
 from sofreg.cli import main as cli_main
 from sofreg.estimators import fit_slope
 from sofreg.functional import fpc_decompose
@@ -24,7 +32,6 @@ from sofreg.gof import (
     pcvm_statistic,
     wild_bootstrap_test,
 )
-from sofreg.lasso import lambda_grid, lambda_max, lasso_path
 from sofreg.simulation import DgpConfig, beta_curve, gen_missing, gen_ou_sample, mc_experiment
 
 ACCEPTANCE_SEED = 20250808

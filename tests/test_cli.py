@@ -301,6 +301,16 @@ class TestDefaultThreads:
         with pytest.raises(ConfigError, match=cli.THREADS_ENV):
             cli._default_threads()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_environment_names_the_variable(self, monkeypatch, tmp_path, value):
+        monkeypatch.setenv(cli.THREADS_ENV, value)
+        with pytest.raises(ConfigError, match=f"{cli.THREADS_ENV} must be at least 1"):
+            cli._default_threads()
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
+                    "--bootstrap", 10, "--seed", 9, "--estimators", "S", "--out", out]) == 3
+        assert not (out / "report.json").exists()
+
 
 class TestTest:
     def test_deterministic_json(self, mar_dataset, tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import inner_product, norm, reconstruct
+from oracles import inner_product, norm, reconstruct, svd_fpc_decompose
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
 from sofreg.functional import FunctionalSample, Grid, center, fpc_decompose
 
@@ -133,6 +135,54 @@ class TestFpcDecompose:
         sample = gen_ou_sample(200, GRID, seed=20240517)
         basis = fpc_decompose(sample)
         assert basis.k_max in {4, 5, 6}
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(11, 31),
+           more_curves=st.booleans(), rank=st.integers(1, 8),
+           decay=st.floats(0.3, 0.8), exponent=st.integers(-40, 40))
+    def test_property_matches_the_svd_reference(self, seed, n_points, more_curves, rank,
+                                                decay, exponent):
+        # Centered curves Q diag(sigma) Phi with Q orthonormal and orthogonal to
+        # the constants, Phi orthonormal under the grid weights and sigma
+        # decaying geometrically: eigenvalues sigma^2 / n with ratio gaps, on
+        # both sides of n = grid points
+        rng = np.random.default_rng(seed)
+        grid = Grid.regular(0.0, 1.0, n_points)
+        n = int(rng.integers(n_points + 1, 3 * n_points)) if more_curves else int(
+            rng.integers(2, n_points + 1))
+        rank = min(rank, n - 1, n_points)
+        q, _ = np.linalg.qr(np.column_stack([np.ones(n), rng.normal(size=(n, rank))]))
+        sqrt_w = np.sqrt(grid.quad_weights)
+        phi = np.linalg.qr(rng.normal(size=(n_points, rank)))[0].T / sqrt_w
+        sigma = rng.uniform(0.5, 2.0) * decay ** np.arange(rank)
+        values = (q[:, 1:] * sigma) @ phi + rng.normal(size=n_points)
+        sample = FunctionalSample(grid, 2.0**exponent * values)
+
+        basis = fpc_decompose(sample)
+        spectrum, eigenfunctions, scores = svd_fpc_decompose(sample)
+        k = basis.k_max
+        assert k == eigenfunctions.shape[0]
+        lam = spectrum[:k]
+        np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-12, atol=1e-12 * lam[0])
+        # a symmetric eigensolver is accurate to eps * lambda_1 over the gap,
+        # and the gaps here are at least (1 - decay^2) lambda_k
+        loss = lam[0] / lam
+        for got, ref, size in ((basis.eigenfunctions, eigenfunctions,
+                                np.abs(eigenfunctions).max(axis=1)),
+                               (basis.scores.T, scores.T, np.sqrt(n * lam))):
+            error = np.abs(got - ref).max(axis=1)
+            assert np.all(error <= 1e-11 * loss * size), (error / size, loss)
+
+    @pytest.mark.parametrize("exponent", [-40, 40])
+    @pytest.mark.parametrize("n, n_points", [(6, 21), (40, 21)])
+    def test_degenerate_at_any_scale(self, exponent, n, n_points):
+        grid = Grid.regular(0.0, 1.0, n_points)
+        curve = np.random.default_rng(n).normal(size=n_points)
+        for values in (np.tile(curve, (n, 1)), np.full((n, n_points), 0.1)):
+            sample = FunctionalSample(grid, 2.0**exponent * values)
+            for decompose in (fpc_decompose, svd_fpc_decompose):
+                with pytest.raises(DegenerateSampleError):
+                    decompose(sample)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(3)

@@ -5,14 +5,30 @@ from hypothesis import strategies as st
 
 import sofreg.estimators
 from conftest import make_mar_dataset
-from oracles import kkt_violation, lasso_cv_reference
-from sofreg.estimators import fit_slope
-from sofreg.lasso import (
-    _exact_path,
+from oracles import (
+    kkt_violation,
     lambda_grid,
     lambda_max,
+    lasso_cv_reference,
     lasso_path,
-    lasso_select,
+    reference_exact_path,
+)
+from sofreg.estimators import fit_slope
+from sofreg.lasso import _exact_path, lasso_select
+
+
+# (x', y) of designs whose exact path holds a coefficient at zero after its
+# drop: the kink reached again at once is rounding noise, and a path that
+# lets the column straight back in gives it a coefficient of ~1e-16
+DEGENERATE_DROPS = (
+    ([[-1, -1, -1, 1, -1, 1], [1, 0, 1, 1, -1, 0], [1, 0, -1, 1, -1, 0], [0, 1, 1, -1, 0, -1]],
+     [-3, 0, -2, 3, 3, 0]),
+    ([[-1, 1, -1, -1, -1, -1, 0], [1, 1, 1, 1, 0, -1, 1], [1, 0, 1, 0, 0, -1, 1],
+      [0, 0, -1, 0, 1, 1, -1], [0, 0, 1, 0, 1, -1, 0]],
+     [-3, -1, 3, 1, -2, -3, 0]),
+    ([[0, 0, 0, 1, 1, 1, 0, -1], [-1, -1, 1, 0, 1, 1, -1, 0], [0, 1, -1, -1, 0, 0, -1, -1],
+      [-1, -1, 0, 0, -1, 0, -1, 0]],
+     [3, 0, -2, 2, -3, -2, -2, 2]),
 )
 
 
@@ -213,6 +229,55 @@ class TestLassoPath:
         for f in range(len(problems)):
             alone = _exact_path(grams[f:f + 1], ctys[f:f + 1], mus, tops[f:f + 1])[0]
             np.testing.assert_array_equal(batch[f], alone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_members=st.integers(1, 12), k=st.integers(1, 7),
+           integer=st.booleans(), duplicate=st.booleans(), zero_corr=st.integers(0, 3),
+           collinearity=st.floats(0.0, 0.99),
+           degenerate=st.sampled_from([None, *range(len(DEGENERATE_DROPS))]))
+    def test_property_stack_matches_the_reference_bit_for_bit(
+            self, seed, n_members, k, integer, duplicate, zero_corr, collinearity, degenerate):
+        # small-integer designs tie correlations exactly, duplicated columns tie
+        # for good, zeroed correlations start flat, collinear columns drop and
+        # rejoin, a degenerate drop holds a coefficient at zero, and
+        # power-of-two scales make members finish at other kinks
+        rng = np.random.default_rng(seed)
+        grams, ctys = [], []
+        if degenerate is not None:
+            xt, y = (np.array(a, dtype=float) for a in DEGENERATE_DROPS[degenerate])
+            k = xt.shape[0]
+            scale = 2.0 ** int(rng.integers(-4, 5))
+            grams.append(scale * (xt @ xt.T))
+            ctys.append(scale * (xt @ y))
+        for _ in range(n_members):
+            n = k + int(rng.integers(3, 20))
+            if integer:
+                x = rng.integers(-2, 3, size=(n, k)).astype(float)
+                y = rng.integers(-3, 4, size=n).astype(float)
+            else:
+                x = rng.normal(size=(n, k)) * rng.uniform(0.3, 3.0, size=k)
+                y = x @ rng.normal(size=k) + rng.normal(size=n)
+            x[:, -1] = collinearity * x[:, 0] + (1.0 - collinearity) * x[:, -1]
+            if duplicate and k > 1:
+                x[:, 1] = x[:, 0]
+            x[:, ~x.any(axis=0)] = 1.0
+            cty = x.T @ y
+            cty[rng.permutation(k)[:zero_corr]] = 0.0
+            scale = 2.0 ** int(rng.integers(-4, 5))
+            grams.append(scale * (x.T @ x))
+            ctys.append(scale * cty)
+        grams, ctys = np.stack(grams), np.stack(ctys)
+        tops = np.max(np.abs(ctys), axis=1)
+        mus = np.concatenate([rng.choice(tops, size=1) * np.geomspace(2.0, 1e-4, 40), [0.0]])
+        mus = mus[rng.permutation(mus.size)[:int(rng.integers(1, mus.size + 1))]]
+
+        def outcome(path):
+            try:
+                return path(grams, ctys, mus, tops).tobytes()
+            except (np.linalg.LinAlgError, ValueError, ArithmeticError, RuntimeWarning) as exc:
+                return type(exc)
+
+        assert outcome(_exact_path) == outcome(reference_exact_path)
 
 
 class TestLassoSelect:
