@@ -46,7 +46,7 @@ from .exceptions import (
     NumericalError,
     SofregError,
 )
-from .functional import fpc_decompose
+from .functional import DEFAULT_VAR_CUTOFF, fpc_decompose
 from .gof import wild_bootstrap_test
 from .simulation import DgpConfig, generate_dataset, mc_experiment
 from .svgplot import curve_plot, density_plot, grouped_boxplot
@@ -175,7 +175,7 @@ def _write_manifest(args, config: dict, seed, inputs: dict, outputs: list,
 def cmd_simulate(args) -> int:
     started = time.time()
     config = DgpConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(DgpConfig)})
-    sample, _, truth = generate_dataset(config)
+    sample, _, truth = generate_dataset(config, args.seed)
     outputs = [os.path.join(args.out, name)
                for name in ("curves.csv", "responses.csv", "truth.json")]
     os.makedirs(args.out, exist_ok=True)
@@ -254,7 +254,7 @@ def cmd_mc(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for name, text in rejection_tables(report, settings["beta_id"], settings["eta"]):
+    for name, text in rejection_tables(report):
         outputs.append(os.path.join(args.out, name))
         atomic_write_text(outputs[-1], text)
     report_path = os.path.join(args.out, "report.json")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         if command == "test":
             on_sample.add_argument("--bootstrap", type=int, default=1000, metavar="B")
         on_sample.add_argument("--seed", type=int, default=0)
-        on_sample.add_argument("--kmax-var-cutoff", type=float, default=0.005)
+        on_sample.add_argument("--kmax-var-cutoff", type=float, default=DEFAULT_VAR_CUTOFF)
         on_sample.add_argument("--plot", action="store_true")
         on_sample.add_argument("--out", required=True)
         on_sample.set_defaults(func=functools.partial(cmd_on_sample, step))

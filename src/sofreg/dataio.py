@@ -217,22 +217,18 @@ def cell_stem(cell: CellResult) -> str:
     return f"beta{cell.beta_id}_eta{_eta_text(cell.eta)}_n{cell.n}_delta{cell.delta:g}"
 
 
-def rejection_tables(report: McReport, beta_ids, etas) -> list[tuple[str, str]]:
-    """(name, text) of each ``rejections_beta<j>_eta<v>.csv``: a row per (n, delta)
-    cell, a column per tag, empty where the rate is NaN or the tag was not run."""
-    tables = []
-    for bid in beta_ids:
-        for eta in etas:
-            rows = ["n,delta," + ",".join(METHOD_TAGS)]
-            for cell in report.cells:
-                if cell.beta_id != bid or cell.eta != eta:
-                    continue
-                rates = [_null_if_nan(cell.rejection.get(tag, np.nan)) for tag in METHOD_TAGS]
-                rows.append(",".join([str(cell.n), repr(float(cell.delta))]
-                                     + ["" if v is None else repr(float(v)) for v in rates]))
-            tables.append((f"rejections_beta{bid}_eta{_eta_text(eta)}.csv",
-                           "\n".join(rows) + "\n"))
-    return tables
+def rejection_tables(report: McReport) -> list[tuple[str, str]]:
+    """(name, text) of each ``rejections_beta<j>_eta<v>.csv``, one per (beta_id, eta)
+    of the cells in their order: a row per (n, delta) cell, a column per tag,
+    empty where the rate is NaN or the tag was not run."""
+    tables: dict[tuple, list[str]] = {}
+    for cell in report.cells:
+        rows = tables.setdefault((cell.beta_id, cell.eta), ["n,delta," + ",".join(METHOD_TAGS)])
+        rates = [_null_if_nan(cell.rejection.get(tag, np.nan)) for tag in METHOD_TAGS]
+        rows.append(",".join([str(cell.n), repr(float(cell.delta))]
+                             + ["" if v is None else repr(float(v)) for v in rates]))
+    return [(f"rejections_beta{bid}_eta{_eta_text(eta)}.csv", "\n".join(rows) + "\n")
+            for (bid, eta), rows in tables.items()]
 
 
 def mc_report(report: McReport) -> dict:
@@ -252,7 +248,7 @@ def mc_report(report: McReport) -> dict:
                 "n": c.n,
                 "delta": c.delta,
                 "m": c.m,
-                "missing_fraction": c.missing_fraction,
+                "missing_fraction": _null_if_nan(c.missing_fraction),
                 "failures": c.failures,
                 "rejection": _null_if_nan(c.rejection),
                 "msee_mean": _null_if_nan(c.msee_mean),

@@ -234,11 +234,4 @@ def lasso_select(
     support = tuple(int(j) + 1 for j in np.flatnonzero(paths[folds, chosen] != 0.0))
     if not support:
         support = (1,)
-    diagnostics = {
-        "lambda": float(lambdas[chosen]),
-        "lambda_index": chosen,
-        "cv": cv,
-        "cv_se": se,
-        "folds": folds,
-    }
-    return support, diagnostics
+    return support, {"lambda": float(lambdas[chosen]), "cv": cv, "cv_se": se}

@@ -144,7 +144,6 @@ class DgpConfig:
     n: int = 100
     grid_points: int = 201
     sigma_eps: float = 0.1
-    seed: int | None = None
 
     def __post_init__(self):
         if self.beta_id not in (1, 2, 3):
@@ -164,14 +163,14 @@ class DgpConfig:
         return Grid.regular(0.0, 1.0, self.grid_points)
 
 
-def generate_dataset(config: DgpConfig, seed: int | np.random.Generator | None = None):
+def generate_dataset(config: DgpConfig, seed):
     """Draw one dataset; returns (MarSample with masked y, full y, truth dict).
 
-    The MarSample's unobserved responses are NaN; `full_y` keeps the values
-    before masking so complete-data benchmarks and oracle checks can use them.
+    `seed` is anything `np.random.default_rng` takes except None, so every
+    dataset is reproducible. The MarSample's unobserved responses are NaN;
+    `full_y` keeps the values before masking so complete-data benchmarks and
+    oracle checks can use them.
     """
-    if seed is None:
-        seed = config.seed
     if seed is None:
         raise ConfigError("a seed is required to generate data")
     rng = np.random.default_rng(seed)
@@ -237,17 +236,27 @@ class McReport:
 _REPLICATE_FAILURES = (SofregError, np.linalg.LinAlgError, ValueError, ArithmeticError)
 
 
+def _failed_entry(exc: Exception) -> dict:
+    """The outcome entry of an estimator that did not finish: NaN throughout."""
+    return {"p": np.nan, "msee": np.nan, "fit_s": np.nan, "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _run_replicate(args):
-    """One generate -> fit -> test replicate (top level for pickling)."""
+    """One generate -> fit -> test replicate (top level for pickling).
+
+    Returns the missing fraction (NaN when generation failed) and one entry
+    {"p", "msee", "fit_s", "error"} per tag; a failure before the fits gives
+    every tag the same failed entry.
+    """
     config, b, tags, seed_seq = args
     rng = np.random.default_rng(seed_seq)
-    out = {"error": None, "per_tag": {}, "missing_fraction": 0.0}
+    missing_fraction = np.nan
     try:
         sample, full_y, truth = generate_dataset(config, rng)
+        missing_fraction = 1.0 - sample.n_obs / sample.n
         tag_seeds = {t: int(rng.integers(2**63 - 1)) for t in METHOD_TAGS}
         basis = fpc_decompose(sample.x)
         full_sample = MarSample(sample.x, full_y, np.ones(config.n, dtype=bool))
-        out["missing_fraction"] = 1.0 - sample.n_obs / sample.n
         # the sample keeps both, so they are computed (and may fail) here,
         # outside any one estimator's fit time
         _first_stage_basis(sample, basis)
@@ -257,28 +266,34 @@ def _run_replicate(args):
             _sample_observance(sample)
             nw_seconds = time.perf_counter() - t0
     except _REPLICATE_FAILURES as exc:
-        out["error"] = f"{type(exc).__name__}: {exc}"
-        return out
+        return {"missing_fraction": missing_fraction,
+                "per_tag": dict.fromkeys(tags, _failed_entry(exc))}
 
-    beta_true = truth["beta"]
+    per_tag = {}
     for tag in tags:
         target = full_sample if tag in ("C", "CL") else sample
-        entry = {"p": np.nan, "msee": np.nan, "fit_s": np.nan, "error": None}
         try:
             t0 = time.perf_counter()
             slope = fit_slope(target, basis, tag, seed=tag_seeds[tag])
-            entry["fit_s"] = time.perf_counter() - t0
+            fit_s = time.perf_counter() - t0
             if tag in ("W", "WL"):
                 # standalone IPW fits pay for the observance estimate
-                entry["fit_s"] += nw_seconds
-            entry["msee"] = mse_estimation(beta_true, slope)
+                fit_s += nw_seconds
+            msee = mse_estimation(truth["beta"], slope)
+            p = np.nan
             if b >= 1:
-                result = wild_bootstrap_test(target, basis, tag, b=b, seed=tag_seeds[tag])
-                entry["p"] = result.p_value
+                p = wild_bootstrap_test(target, basis, tag, b=b, seed=tag_seeds[tag]).p_value
         except _REPLICATE_FAILURES as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-        out["per_tag"][tag] = entry
-    return out
+            per_tag[tag] = _failed_entry(exc)
+        else:
+            per_tag[tag] = {"p": p, "msee": msee, "fit_s": fit_s, "error": None}
+    return {"missing_fraction": missing_fraction, "per_tag": per_tag}
+
+
+def _finite_mean(values: np.ndarray) -> float:
+    """Mean of the finite entries of `values`; NaN when there are none."""
+    good = values[np.isfinite(values)]
+    return float(good.mean()) if good.size else float("nan")
 
 
 def mc_experiment(
@@ -304,8 +319,14 @@ def mc_experiment(
     the replicates of all cells go, in cell order, through one worker pool;
     if a worker dies, the replicates that have not come back run serially in
     this process with the same seeds, so the report is unchanged, and
-    `reruns` counts them. Failed replicates keep NaN entries and are counted
-    in `failures`, never silently dropped.
+    `reruns` counts them.
+
+    Failures are counted in `failures`, never silently dropped. An
+    estimator that raises has NaN p-value, MSEE and time in that replicate,
+    even when its fit finished before its test failed; a failure before the
+    fits (data, basis or observance) counts for every estimator. The means
+    and rejection rates are over the finite entries, and `missing_fraction`
+    averages over the replicates whose data were drawn.
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
@@ -361,34 +382,12 @@ def mc_experiment(
 
     cells = []
     for c, config in enumerate(configs):
-        p_values = {t: np.full(m, np.nan) for t in tags}
-        msee = {t: np.full(m, np.nan) for t in tags}
-        times = {t: np.full(m, np.nan) for t in tags}
-        failures = {t: 0 for t in tags}
-        missing = np.zeros(m)
-        for i, rep in enumerate(results[c * m:(c + 1) * m]):
-            missing[i] = rep["missing_fraction"]
-            if rep["error"] is not None:
-                for t in tags:
-                    failures[t] += 1
-                continue
-            for t in tags:
-                entry = rep["per_tag"][t]
-                if entry["error"] is not None:
-                    failures[t] += 1
-                    continue
-                p_values[t][i] = entry["p"]
-                msee[t][i] = entry["msee"]
-                times[t][i] = entry["fit_s"]
-
-        def _masked_mean(values):
-            good = values[np.isfinite(values)]
-            return float(good.mean()) if good.size else float("nan")
-
-        rejection = {}
-        for t in tags:
-            good = p_values[t][np.isfinite(p_values[t])]
-            rejection[t] = float(np.mean(good <= alpha)) if good.size else float("nan")
+        reps = results[c * m:(c + 1) * m]
+        entries = {t: [rep["per_tag"][t] for rep in reps] for t in tags}
+        p_values, msee, times = (
+            {t: np.array([e[key] for e in entries[t]], dtype=float) for t in tags}
+            for key in ("p", "msee", "fit_s")
+        )
         cells.append(
             CellResult(
                 beta_id=config.beta_id,
@@ -396,14 +395,15 @@ def mc_experiment(
                 n=config.n,
                 delta=config.delta,
                 m=m,
-                failures=failures,
-                rejection=rejection,
-                msee_mean={t: _masked_mean(msee[t]) for t in tags},
-                time_mean={t: _masked_mean(times[t]) for t in tags},
+                failures={t: sum(e["error"] is not None for e in entries[t]) for t in tags},
+                rejection={t: _finite_mean(np.where(np.isnan(p), np.nan, p <= alpha))
+                           for t, p in p_values.items()},
+                msee_mean={t: _finite_mean(msee[t]) for t in tags},
+                time_mean={t: _finite_mean(times[t]) for t in tags},
                 p_values=p_values,
                 msee=msee,
                 times=times,
-                missing_fraction=float(missing.mean()),
+                missing_fraction=_finite_mean(np.array([rep["missing_fraction"] for rep in reps])),
             )
         )
     return McReport(

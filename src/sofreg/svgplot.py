@@ -110,14 +110,13 @@ def density_plot(values: np.ndarray, marker: float, title: str) -> str:
     return "\n".join(parts)
 
 
-def grouped_boxplot(groups: dict[str, np.ndarray], title: str, log_scale: bool = True) -> str:
-    """Side-by-side boxplots (median, quartile box, whiskers at 5/95%)."""
+def grouped_boxplot(groups: dict[str, np.ndarray], title: str) -> str:
+    """Side-by-side boxplots of the logs of the positive finite values
+    (median, quartile box, whiskers at 5/95%)."""
     cleaned = {}
     for label, values in groups.items():
         arr = np.asarray(values, dtype=float)
-        arr = arr[np.isfinite(arr)]
-        if log_scale:
-            arr = np.log(arr[arr > 0])
+        arr = np.log(arr[np.isfinite(arr) & (arr > 0)])
         if arr.size:
             cleaned[label] = arr
     if not cleaned:

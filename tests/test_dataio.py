@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sofreg import dataio
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.exceptions import CsvFormatError
+from sofreg.simulation import CellResult, McReport
 
 GRID_ROW = "0.0,0.5,1.0"
 
@@ -97,3 +98,25 @@ class TestCurvesReader:
                 read_curves_csv(path)
         assert str(err.value) == f"line {line}: {message}"
         assert caught == []
+
+
+class TestRejectionTables:
+    def test_one_table_per_beta_and_eta_of_the_cells_in_their_order(self):
+        def cell(beta_id, eta, n, delta, rate):
+            return CellResult(beta_id=beta_id, eta=eta, n=n, delta=delta, m=1,
+                              failures={"S": 0}, rejection={"S": rate}, msee_mean={},
+                              time_mean={}, p_values={}, msee={}, times={},
+                              missing_fraction=0.25)
+
+        cells = [cell(3, 0.5, 30, 0.0, 0.0), cell(3, 0.5, 30, 0.03, np.nan),
+                 cell(3, None, 30, 0.0, 1.0), cell(1, 0.5, 50, 0.0, 0.5)]
+        report = McReport(alpha=0.05, m=1, b=10, seed=1, estimators=("S",), cells=cells,
+                          grid_points=201, sigma_eps=0.1)
+        tables = dataio.rejection_tables(report)
+        assert [name for name, _ in tables] == [
+            "rejections_beta3_eta0.5.csv", "rejections_beta3_etanone.csv",
+            "rejections_beta1_eta0.5.csv"]
+        assert tables[0][1] == ("n,delta,C,CL,S,SL,I,IL,W,WL\n"
+                                "30,0.0,,,0.0,,,,,\n"
+                                "30,0.03,,,,,,,,\n")
+        assert tables[2][1].splitlines()[1] == "50,0.0,,,0.5,,,,,"

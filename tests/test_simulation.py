@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sofreg import blas, simulation
+from sofreg import blas, dataio, simulation
 from sofreg.estimators import MarSample, fit_slope
 from sofreg.exceptions import ConfigError, GridMismatchError
 from sofreg.functional import Grid, fpc_decompose
@@ -196,11 +196,16 @@ class TestDgpConfig:
             gen_missing(x, value)
 
     def test_generate_dataset_requires_seed(self):
-        with pytest.raises(ConfigError):
+        # the seed is an argument of the draw, never a field of the configuration
+        with pytest.raises(TypeError):
+            DgpConfig(beta_id=1, seed=11)
+        with pytest.raises(TypeError):
             generate_dataset(DgpConfig(beta_id=1))
+        with pytest.raises(ConfigError):
+            generate_dataset(DgpConfig(beta_id=1), None)
 
     def test_generate_dataset_masks_missing(self):
-        sample, full_y, truth = generate_dataset(DgpConfig(beta_id=3, eta=0.5, n=40, seed=11))
+        sample, full_y, truth = generate_dataset(DgpConfig(beta_id=3, eta=0.5, n=40), 11)
         assert np.all(np.isnan(sample.y[~sample.r]))
         np.testing.assert_array_equal(sample.y[sample.r], full_y[sample.r])
         assert truth["beta"].shape == (201,)
@@ -312,7 +317,7 @@ class TestMcExperiment:
             "print('numpy.ma' in sys.modules)",
             "config = simulation.DgpConfig(beta_id=3, eta=1.0, n=40)",
             "out = simulation._run_replicate((config, 20, ('W', 'WL'), np.random.SeedSequence(1)))",
-            "assert out['error'] is None",
+            "assert sorted(out['per_tag']) == ['W', 'WL']",
             "assert all(e['error'] is None for e in out['per_tag'].values())",
             "print('numpy.ma' in sys.modules)",
         ])
@@ -345,6 +350,55 @@ class TestMcExperiment:
             np.testing.assert_array_equal(cell.p_values[tag], clean.p_values[tag])
             np.testing.assert_array_equal(cell.msee[tag], clean.msee[tag])
             assert cell.rejection[tag] == clean.rejection[tag]
+
+    @pytest.mark.parametrize("stage", ["fpc_decompose", "_sample_observance", "generate_dataset"])
+    def test_replicate_level_failure_counts_for_every_tag(self, monkeypatch, stage):
+        # a failure before the fits fails every estimator of its replicate,
+        # the complete-data ones too, and leaves the other replicates alone
+        cfg = DgpConfig(beta_id=3, delta=0.03, eta=1.0, n=40)
+        tags = ("C", "CL", "S", "W")
+        clean = mc_experiment([cfg], m=3, b=20, estimators=tags, seed=26).cells[0]
+        real = getattr(simulation, stage)
+        calls, drawn = [], []
+
+        def failing_second_call(*args, **kwargs):
+            calls.append(stage)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            out = real(*args, **kwargs)
+            if stage == "generate_dataset":
+                drawn.append(1.0 - out[0].n_obs / out[0].n)
+            return out
+
+        monkeypatch.setattr(simulation, stage, failing_second_call)
+        cell = mc_experiment([cfg], m=3, b=20, estimators=tags, seed=26).cells[0]
+        assert cell.failures == dict.fromkeys(tags, 1)
+        kept = [0, 2]
+        for tag in tags:
+            for values in (cell.p_values, cell.msee, cell.times):
+                assert np.isnan(values[tag][1])
+                assert np.all(np.isfinite(values[tag][kept]))
+            np.testing.assert_array_equal(cell.p_values[tag][kept], clean.p_values[tag][kept])
+            np.testing.assert_array_equal(cell.msee[tag][kept], clean.msee[tag][kept])
+        if stage == "generate_dataset":
+            # the replicate without data is left out of the mean, not read as 0.0
+            assert cell.missing_fraction == np.mean(drawn)
+        else:
+            assert cell.missing_fraction == clean.missing_fraction
+
+    def test_a_cell_without_data_reports_no_missing_fraction(self, monkeypatch):
+        def failing_draw(config, seed):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(simulation, "generate_dataset", failing_draw)
+        report = mc_experiment([DgpConfig(beta_id=1, eta=1.0, n=40)], m=2, b=10,
+                               estimators=("CL", "S"), seed=27)
+        cell = report.cells[0]
+        assert cell.failures == {"CL": 2, "S": 2}
+        assert np.isnan(cell.missing_fraction)
+        payload = dataio.mc_report(report)["cells"][0]
+        assert payload["missing_fraction"] is None
+        assert payload["rejection"] == {"CL": None, "S": None}
 
     def test_seed_determinism(self):
         cfg = DgpConfig(beta_id=3, delta=0.01, eta=2.0, n=40)
