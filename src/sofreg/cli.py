@@ -26,6 +26,7 @@ from .dataio import (
     atomic_write_text,
     build_manifest,
     cell_stem,
+    check_mc_file_names,
     dump_json,
     gof_report,
     mc_report,
@@ -247,6 +248,7 @@ def cmd_mc(args) -> int:
         for bid in settings["beta_id"] for e in settings["eta"]
         for n in settings["n"] for d in settings["delta"]
     ]
+    check_mc_file_names(configs, args.plots)
     report = mc_experiment(
         configs, m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
         estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],

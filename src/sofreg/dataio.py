@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__ as _version
 from .estimators import METHOD_TAGS, FunctionalSlope, MarSample
-from .exceptions import CsvFormatError
+from .exceptions import ConfigError, CsvFormatError
 from .functional import FunctionalSample, Grid
 from .gof import GofResult
-from .simulation import CellResult, McReport
+from .simulation import CellResult, DgpConfig, McReport
 
 
 #: ASCII separator characters that numpy's float parser strips as whitespace
@@ -212,9 +212,38 @@ def _eta_text(eta: float | None) -> str:
     return "none" if eta is None else f"{eta:g}"
 
 
-def cell_stem(cell: CellResult) -> str:
+def cell_stem(cell: CellResult | DgpConfig) -> str:
     """File-name stem of one mc cell, e.g. ``beta3_eta1_n100_delta0``."""
     return f"beta{cell.beta_id}_eta{_eta_text(cell.eta)}_n{cell.n}_delta{cell.delta:g}"
+
+
+def _table_name(beta_id: int, eta: float | None) -> str:
+    return f"rejections_beta{beta_id}_eta{_eta_text(eta)}.csv"
+
+
+def check_mc_file_names(configs: list[DgpConfig], plots: bool) -> None:
+    """Raise ConfigError when two mc cells would write to one file.
+
+    File names print eta and delta to six significant digits, so cells that
+    differ past them would overwrite each other's rejection table (one per
+    beta_id and eta) or, with `plots`, boxplots (one pair per cell). A cell
+    given twice shares its names with itself and is left to `mc_experiment`.
+    """
+    owners: dict[str, tuple] = {}
+    for config in configs:
+        cell = (config.beta_id, config.eta, config.n, config.delta)
+        named = [(_table_name(config.beta_id, config.eta), cell[:2])]
+        if plots:
+            named.append((f"boxplot_*_{cell_stem(config)}.svg", cell))
+        for name, key in named:
+            other_key, other = owners.setdefault(name, (key, cell))
+            if other_key != key:
+                raise ConfigError(
+                    "cells beta_id={}, eta={}, n={}, delta={} and ".format(*other)
+                    + "beta_id={}, eta={}, n={}, delta={} ".format(*cell)
+                    + f"would both write {name}; give eta and delta values that differ "
+                    "in their first six significant digits"
+                )
 
 
 def rejection_tables(report: McReport) -> list[tuple[str, str]]:
@@ -227,8 +256,7 @@ def rejection_tables(report: McReport) -> list[tuple[str, str]]:
         rates = [_null_if_nan(cell.rejection.get(tag, np.nan)) for tag in METHOD_TAGS]
         rows.append(",".join([str(cell.n), repr(float(cell.delta))]
                              + ["" if v is None else repr(float(v)) for v in rates]))
-    return [(f"rejections_beta{bid}_eta{_eta_text(eta)}.csv", "\n".join(rows) + "\n")
-            for (bid, eta), rows in tables.items()]
+    return [(_table_name(bid, eta), "\n".join(rows) + "\n") for (bid, eta), rows in tables.items()]
 
 
 def mc_report(report: McReport) -> dict:

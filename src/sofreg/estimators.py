@@ -18,8 +18,10 @@ second stages decompose all n curves. With no missing responses the two
 bases coincide and every estimator collapses to its complete-data
 counterpart. What a sample alone determines (the observed-pairs basis at a
 cutoff, the scores of the curves with missing responses in it, the
-observance fit, and the test's A matrices) is computed once per `MarSample`
-and kept on it, so callers pass none of it around.
+observance fit, the CV-selected fits C, S, I and W in a basis, and the
+test's A matrices) is computed once per `MarSample` and kept on it, so
+callers pass none of it around. LASSO fits depend on their seed as well, so
+they are not kept.
 
 One completion rule, `_completed_responses`, serves the second stage of a
 fit, the joint leave-one-out CV that selects its two cutoffs, and the refits
@@ -316,7 +318,9 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     asymptotic target. Entries at unobserved rows are zero.
     """
     inv_p = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
-    return inv_p / inv_p[sample.r].mean()
+    weights = inv_p / inv_p[sample.r].mean()
+    weights.setflags(write=False)
+    return weights
 
 
 def _median(values: np.ndarray) -> float:
@@ -382,12 +386,15 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
     """OLS fit, with an intercept, of y on the `indices` score columns of `basis`."""
     cols = np.asarray(indices, dtype=int) - 1
     alpha, coef = _plugin_fit(basis.scores[:, cols], basis.eigenvalues[cols], y)
+    curve = coef @ basis.eigenfunctions[cols]
+    coef.setflags(write=False)
+    curve.setflags(write=False)
     return FunctionalSlope(
         method_tag=tag,
         indices=tuple(int(i) for i in indices),
         coefficients=coef,
         basis=basis,
-        curve=coef @ basis.eigenfunctions[cols],
+        curve=curve,
         response_center=float(response_center),
         alpha=float(alpha),
         **fields,
@@ -427,15 +434,28 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
 
     `basis` is the FPC basis of all n curves; the first stage runs in the
     basis of the observed curves at `basis.var_cutoff`. `seed` sets the
-    LASSO cross-validation folds.
+    LASSO cross-validation folds. The CV-selected fits (C, S, I, W) read no
+    seed, so the sample and the basis determine them: each is computed once
+    per sample and basis, kept on the sample with read-only arrays, and
+    returned as the same object on every later call.
     """
     tag = method.upper()
     if tag not in METHOD_TAGS:
         raise ConfigError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
-    completion, lasso = tag[0], tag.endswith("L")
-    if completion == "C" and sample.n_obs != sample.n:
+    if tag[0] == "C" and sample.n_obs != sample.n:
         raise ConfigError(f"method {tag} needs fully observed responses")
     _check_basis(sample, basis)
+    if tag.endswith("L"):
+        return _fit_pipeline(sample, basis, tag, seed)
+    # the entry holds `basis`, so no other basis can take its id while it is kept
+    return sample._derived(
+        ("slope", id(basis), tag), lambda: (basis, _fit_pipeline(sample, basis, tag, seed))
+    )[1]
+
+
+def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> FunctionalSlope:
+    """The two-stage pipeline of `fit_slope` for a checked tag and basis."""
+    completion, lasso = tag[0], tag.endswith("L")
     ob = _first_stage_basis(sample, basis)
     two_stage = completion in ("I", "W")
     ybar = sample.observed_mean
@@ -459,6 +479,7 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
                            cutoffs={"K_S": k_s})
     else:
         errors = _simplified_cv_errors(ytilde, ob, _first_stage_limit(ob, sample))
+        errors.setflags(write=False)
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
                            cutoffs={"K_S": k_s}, diagnostics={"cv_errors": errors})

@@ -334,7 +334,10 @@ def wild_bootstrap_test(
     Q = E M E, q1 = 2 E M mu and c0 = mu' M mu; a non-finite operator
     raises NumericalError. p-value = #(observed statistic <= replicate
     statistic) / b. A is built once per sample and score block: tests on
-    one sample whose fits use the same score columns share it.
+    one sample whose fits use the same score columns share it. The slope
+    comes from `fit_slope`, so a CV-selected slope (C, S, I, W) already
+    fitted on this sample and basis is taken from the sample's memo, not
+    refitted; a LASSO slope is refitted with `seed`.
     """
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,6 +364,11 @@ def mc_experiment(
     # to workers of other start methods and finds forked ones at one already
     with single_blas_thread():
         if threads > 1:
+            # only a parallel run loads the pool machinery (multiprocessing,
+            # socket, logging, subprocess): serial runs import none of it
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
             # forked workers inherit the factor instead of each computing it
             for config in configs:
                 _ou_factor(config.grid)

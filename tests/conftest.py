@@ -50,6 +50,19 @@ def make_score_linear_sample(coeffs, n=80, seed=0, sigma=0.0, eta=None):
     return sample, basis
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` to record each call; returns the list of recorded calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grid201():
     return GRID

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -435,6 +436,24 @@ class TestMc:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells, message", [
+        (["--eta", "0.5", "0.5000001"],
+         "cells beta_id=1, eta=0.5, n=30, delta=0.0 and beta_id=1, eta=0.5000001, n=30, "
+         "delta=0.0 would both write rejections_beta1_eta0.5.csv"),
+        (["--eta", "0.5", "--delta", "0.1", "0.1000001"],
+         "cells beta_id=1, eta=0.5, n=30, delta=0.1 and beta_id=1, eta=0.5, n=30, "
+         "delta=0.1000001 would both write boxplot_*_beta1_eta0.5_n30_delta0.1.svg"),
+    ], ids=["eta", "delta"])
+    def test_refuses_cells_that_print_alike(self, tmp_path, capsys, cells, message):
+        # file names print eta and delta to six significant digits: the
+        # second cell's table or boxplots would overwrite the first's
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, *cells, "--n", 30, "--m", 1, "--bootstrap", 10,
+                    "--estimators", "S", "--seed", 1, "--threads", 1, "--plots",
+                    "--out", out]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["n = 30, 30", "estimators = S, I, s"])
     def test_config_file_refuses_a_repeated_value(self, tmp_path, capsys, line):
         cfg = tmp_path / "mc.cfg"
@@ -549,6 +568,40 @@ class TestMcSettings:
         from_flag = mc("flag", base + flag)
         assert mc("file", base, file_text) == from_flag
         assert mc("both", base + flag, other) == from_flag
+
+
+class TestImports:
+    def test_serial_commands_load_no_pool_modules(self, tmp_path):
+        # multiprocessing and concurrent.futures (with socket, logging and
+        # subprocess) cost start-up time and memory; only a pool needs them
+        code = "\n".join([
+            "import sys",
+            "def report(after):",
+            "    loaded = [m for m in sys.modules if m.split('.')[0] == 'multiprocessing'",
+            "              or m.startswith('concurrent.futures')]",
+            "    print('pool modules after', after, ':', sorted(loaded))",
+            "import sofreg",
+            "report('import sofreg')",
+            "from sofreg.cli import main",
+            "report('import sofreg.cli')",
+            f"data, out = {str(tmp_path / 'data')!r}, {str(tmp_path / 'out')!r}",
+            "sample = ['--curves', data + '/curves.csv', '--responses', data + '/responses.csv',",
+            "          '--method', 'I', '--seed', '1', '--out', out]",
+            "for argv in (['simulate', '--beta-id', '3', '--n', '40', '--eta', '1', '--seed', '2',",
+            "              '--out', data],",
+            "             ['fit'] + sample, ['test', '--bootstrap', '20'] + sample,",
+            "             ['mc', '--beta-id', '1', '--n', '30', '--m', '1', '--bootstrap', '10',",
+            "              '--estimators', 'S', '--seed', '1', '--threads', '1', '--out', out]):",
+            "    assert main(argv) == 0",
+            "    report(argv[0])",
+        ])
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=120)
+        reports = [line for line in done.stdout.splitlines() if line.startswith("pool modules")]
+        assert len(reports) == 6
+        assert all(line.endswith(": []") for line in reports), reports
 
 
 class TestRealDataWorkflowShape:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from sofreg import dataio
 from sofreg.dataio import read_curves_csv, read_responses_csv
-from sofreg.exceptions import CsvFormatError
-from sofreg.simulation import CellResult, McReport
+from sofreg.exceptions import ConfigError, CsvFormatError
+from sofreg.simulation import CellResult, DgpConfig, McReport
 
 GRID_ROW = "0.0,0.5,1.0"
 
@@ -120,3 +120,13 @@ class TestRejectionTables:
                                 "30,0.0,,,0.0,,,,,\n"
                                 "30,0.03,,,,,,,,\n")
         assert tables[2][1].splitlines()[1] == "50,0.0,,,0.5,,,,,"
+
+
+class TestMcFileNames:
+    def test_boxplot_stems_are_checked_only_with_plots(self):
+        # one table holds both cells' rows, delta printed in full; only
+        # the boxplots would collide
+        configs = [DgpConfig(beta_id=1, eta=0.5, n=30, delta=d) for d in (0.1, 0.1000001)]
+        dataio.check_mc_file_names(configs, plots=False)
+        with pytest.raises(ConfigError, match="boxplot"):
+            dataio.check_mc_file_names(configs, plots=True)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sofreg.estimators
-from conftest import GRID, make_mar_dataset, make_score_linear_sample
+from conftest import GRID, count_calls, make_mar_dataset, make_score_linear_sample
 from oracles import (
     completed_ipw_responses,
     impute_responses,
@@ -511,7 +511,8 @@ class TestDeterminism:
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)
         for tag in ("S", "SL", "I", "IL", "W", "WL"):
             a = fit_slope(sample, basis, tag, seed=77)
-            b = fit_slope(sample, basis, tag, seed=77)
+            # a fresh sample of the same data, so no fit comes from the memo
+            b = fit_slope(MarSample(sample.x, sample.y, sample.r), basis, tag, seed=77)
             assert a.indices == b.indices
             assert a.cutoffs == b.cutoffs
             np.testing.assert_array_equal(a.coefficients, b.coefficients)
@@ -522,3 +523,26 @@ class TestDeterminism:
             pytest.skip("draw produced no missing entries")
         with pytest.raises(ConfigError):
             fit_slope(sample, basis, "C")
+
+
+class TestSampleMemo:
+    def test_cv_selected_fits_are_computed_once_per_sample(self, monkeypatch):
+        sample, basis, y = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)
+        full = MarSample(sample.x, y, np.ones(sample.n, dtype=bool))
+        joint = count_calls(monkeypatch, sofreg.estimators, "joint_loocv_cutoffs")
+        for target, tag in ((full, "C"), (sample, "S"), (sample, "I"), (sample, "W")):
+            first = fit_slope(target, basis, tag, seed=1)
+            # the seed only sets LASSO folds, so it does not key these fits
+            assert fit_slope(target, basis, tag.lower(), seed=2) is first
+            for values in (first.coefficients, first.curve):
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+        assert len(joint) == 2
+        assert fit_slope(sample, fpc_decompose(sample.x), "S") is not fit_slope(sample, basis, "S")
+
+    def test_lasso_fits_run_for_every_call(self, monkeypatch):
+        sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)
+        lasso = count_calls(monkeypatch, sofreg.estimators, "lasso_select")
+        a = fit_slope(sample, basis, "SL", seed=1)
+        b = fit_slope(sample, basis, "SL", seed=2)
+        assert len(lasso) == 2 and a is not b

@@ -340,6 +340,23 @@ class TestLassoSelect:
                 np.testing.assert_allclose(diag["cv"], ref_cv, rtol=1e-12)
                 np.testing.assert_allclose(diag["cv_se"], ref_se, rtol=1e-12)
 
+    def test_a_twin_column_never_joins(self):
+        # the lower index stands for both twins: the selection is that of the
+        # design without the later twin, whose path meets the KKT conditions
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(60, 4))
+            x[:, 1] = x[:, 0]
+            y = x @ rng.normal(size=4) + rng.normal(size=60)
+            support, diag = lasso_select(x, y, seed=seed)
+            assert not {1, 2} <= set(support)
+            kept = x[:, [0, 2, 3]]
+            xc, yc = kept - kept.mean(axis=0), y - y.mean()
+            beta = lasso_path(xc, yc, np.array([diag["lambda"]]))[0]
+            assert kkt_violation(xc, yc, beta, diag["lambda"]) <= 1e-9 * max(1.0, lambda_max(xc, yc))
+            expected = tuple(int(j) for j in np.array([1, 3, 4])[beta != 0.0]) or (1,)
+            assert support == expected
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         x, y = random_design(rng, n=50)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import json
 import multiprocessing
@@ -8,8 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from sofreg import blas, dataio, simulation
-from sofreg.estimators import MarSample, fit_slope
+from conftest import count_calls
+from sofreg import blas, dataio, estimators, simulation
+from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope
 from sofreg.exceptions import ConfigError, GridMismatchError
 from sofreg.functional import Grid, fpc_decompose
 from sofreg.simulation import (
@@ -261,14 +263,15 @@ class TestMcExperiment:
         assert payloads[0] == payloads[1]
 
     def test_multi_cell_run_starts_one_pool(self, monkeypatch):
+        # mc_experiment imports the pool class when a parallel run starts
         pools = []
 
-        class CountingPool(simulation.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         configs = [DgpConfig(beta_id=b, delta=0.0, eta=1.0, n=30) for b in (1, 2, 3)]
         report = mc_experiment(configs, m=3, b=10, estimators=("S",), seed=23, threads=2)
         assert pools == [2]
@@ -329,6 +332,17 @@ class TestMcExperiment:
         if at_import == "True":
             pytest.skip("this numpy imports numpy.ma with numpy")
         assert after_replicate == "False"
+
+    def test_a_replicate_fits_each_cv_selected_slope_once(self, monkeypatch):
+        # the tests of C, S, I and W take their slopes from the sample's memo;
+        # the four LASSO tags refit in their tests (2 + 2 + 4 + 4 selections)
+        lasso = count_calls(monkeypatch, estimators, "lasso_select")
+        joint = count_calls(monkeypatch, estimators, "joint_loocv_cutoffs")
+        config = DgpConfig(beta_id=3, eta=1.0, n=60)
+        out = _run_replicate((config, 20, METHOD_TAGS, np.random.SeedSequence(3)))
+        assert all(e["error"] is None for e in out["per_tag"].values())
+        assert len(lasso) == 12
+        assert len(joint) == 2
 
     @pytest.mark.parametrize("error", [FloatingPointError, ZeroDivisionError])
     def test_arithmetic_error_in_one_tag_is_counted(self, monkeypatch, error):
