@@ -26,7 +26,6 @@ from .dataio import (
     atomic_write_text,
     build_manifest,
     cell_stem,
-    check_mc_file_names,
     dump_json,
     gof_report,
     mc_report,
@@ -248,7 +247,6 @@ def cmd_mc(args) -> int:
         for bid in settings["beta_id"] for e in settings["eta"]
         for n in settings["n"] for d in settings["delta"]
     ]
-    check_mc_file_names(configs, args.plots)
     report = mc_experiment(
         configs, m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
         estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
@@ -264,7 +262,7 @@ def cmd_mc(args) -> int:
     outputs.append(report_path)
     if args.plots:
         for cell in report.cells:
-            stem = cell_stem(cell)
+            stem = cell_stem(cell.config)
             for quantity, data in (("msee", cell.msee), ("time", cell.times)):
                 outputs.append(os.path.join(args.out, f"boxplot_{quantity}_{stem}.svg"))
                 atomic_write_text(outputs[-1], grouped_boxplot(

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import __version__ as _version
 from .estimators import METHOD_TAGS, FunctionalSlope, MarSample
-from .exceptions import ConfigError, CsvFormatError
+from .exceptions import CsvFormatError
 from .functional import FunctionalSample, Grid
 from .gof import GofResult
-from .simulation import CellResult, DgpConfig, McReport
+from .simulation import DgpConfig, McReport
 
 
 #: ASCII separator characters that numpy's float parser strips as whitespace
@@ -171,6 +171,20 @@ def truth_report(truth: dict, seed: int) -> dict:
     return truth | {"beta": [float(v) for v in truth["beta"]], "seed": seed}
 
 
+def _cutoffs(slope: FunctionalSlope) -> dict:
+    """The selection of a fit as its report names it: the LASSO supports of
+    both stages, or the CV cutoffs K_S (first stage) and K_I or K_W (second)."""
+    first = slope.first_stage
+    if slope.method_tag.endswith("L"):
+        supports = {"indices": list(slope.indices)}
+        if first is not None:
+            supports["first_stage"] = list(first.indices)
+        return supports
+    if first is None:
+        return {"K_S": len(slope.indices)}
+    return {"K_S": len(first.indices), f"K_{slope.method_tag}": len(slope.indices)}
+
+
 def slope_report(slope: FunctionalSlope, sample: MarSample) -> dict:
     """Deterministic JSON payload describing a fitted slope."""
     report = {
@@ -178,19 +192,17 @@ def slope_report(slope: FunctionalSlope, sample: MarSample) -> dict:
         "indices": list(slope.indices),
         "coefficients": [float(c) for c in slope.coefficients],
         "intercept": slope.intercept,
-        "cutoffs": {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in slope.cutoffs.items()
-        },
+        "cutoffs": _cutoffs(slope),
         "n": sample.n,
         "n_observed": sample.n_obs,
         "curve": [float(v) for v in slope.curve],
         "grid": [float(v) for v in slope.basis.grid.points],
         "predictions": [float(v) for v in slope.predict_sample(sample.x)],
     }
-    if "cv_errors" in slope.diagnostics:
-        report["cv_errors"] = [float(v) for v in slope.diagnostics["cv_errors"]]
-    if "lambda" in slope.diagnostics:
-        report["lasso_lambda"] = float(slope.diagnostics["lambda"])
+    if slope.cv_errors is not None:
+        report["cv_errors"] = [float(v) for v in slope.cv_errors]
+    if slope.lasso_lambda is not None:
+        report["lasso_lambda"] = slope.lasso_lambda
     return report
 
 
@@ -208,42 +220,24 @@ def gof_report(result: GofResult) -> dict:
     }
 
 
-def _eta_text(eta: float | None) -> str:
-    return "none" if eta is None else f"{eta:g}"
+def _value_text(value: float | None) -> str:
+    """`value` as file names print it: "none" for None, else its ``:g`` form
+    when that reads back as `value` and its ``repr`` when it does not, so
+    distinct values never share a name."""
+    if value is None:
+        return "none"
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
 
 
-def cell_stem(cell: CellResult | DgpConfig) -> str:
+def cell_stem(config: DgpConfig) -> str:
     """File-name stem of one mc cell, e.g. ``beta3_eta1_n100_delta0``."""
-    return f"beta{cell.beta_id}_eta{_eta_text(cell.eta)}_n{cell.n}_delta{cell.delta:g}"
+    return (f"beta{config.beta_id}_eta{_value_text(config.eta)}_n{config.n}"
+            f"_delta{_value_text(config.delta)}")
 
 
 def _table_name(beta_id: int, eta: float | None) -> str:
-    return f"rejections_beta{beta_id}_eta{_eta_text(eta)}.csv"
-
-
-def check_mc_file_names(configs: list[DgpConfig], plots: bool) -> None:
-    """Raise ConfigError when two mc cells would write to one file.
-
-    File names print eta and delta to six significant digits, so cells that
-    differ past them would overwrite each other's rejection table (one per
-    beta_id and eta) or, with `plots`, boxplots (one pair per cell). A cell
-    given twice shares its names with itself and is left to `mc_experiment`.
-    """
-    owners: dict[str, tuple] = {}
-    for config in configs:
-        cell = (config.beta_id, config.eta, config.n, config.delta)
-        named = [(_table_name(config.beta_id, config.eta), cell[:2])]
-        if plots:
-            named.append((f"boxplot_*_{cell_stem(config)}.svg", cell))
-        for name, key in named:
-            other_key, other = owners.setdefault(name, (key, cell))
-            if other_key != key:
-                raise ConfigError(
-                    "cells beta_id={}, eta={}, n={}, delta={} and ".format(*other)
-                    + "beta_id={}, eta={}, n={}, delta={} ".format(*cell)
-                    + f"would both write {name}; give eta and delta values that differ "
-                    "in their first six significant digits"
-                )
+    return f"rejections_beta{beta_id}_eta{_value_text(eta)}.csv"
 
 
 def rejection_tables(report: McReport) -> list[tuple[str, str]]:
@@ -252,11 +246,18 @@ def rejection_tables(report: McReport) -> list[tuple[str, str]]:
     empty where the rate is NaN or the tag was not run."""
     tables: dict[tuple, list[str]] = {}
     for cell in report.cells:
-        rows = tables.setdefault((cell.beta_id, cell.eta), ["n,delta," + ",".join(METHOD_TAGS)])
+        config = cell.config
+        rows = tables.setdefault((config.beta_id, config.eta),
+                                 ["n,delta," + ",".join(METHOD_TAGS)])
         rates = [_null_if_nan(cell.rejection.get(tag, np.nan)) for tag in METHOD_TAGS]
-        rows.append(",".join([str(cell.n), repr(float(cell.delta))]
+        rows.append(",".join([str(config.n), repr(float(config.delta))]
                              + ["" if v is None else repr(float(v)) for v in rates]))
     return [(_table_name(bid, eta), "\n".join(rows) + "\n") for (bid, eta), rows in tables.items()]
+
+
+def _cell_values(config: DgpConfig) -> dict:
+    """The four values that name an mc cell in the report and the manifest."""
+    return {"beta_id": config.beta_id, "eta": config.eta, "n": config.n, "delta": config.delta}
 
 
 def mc_report(report: McReport) -> dict:
@@ -270,12 +271,8 @@ def mc_report(report: McReport) -> dict:
         "grid_points": report.grid_points,
         "sigma_eps": report.sigma_eps,
         "cells": [
-            {
-                "beta_id": c.beta_id,
-                "eta": c.eta,
-                "n": c.n,
-                "delta": c.delta,
-                "m": c.m,
+            _cell_values(c.config) | {
+                "m": report.m,
                 "missing_fraction": _null_if_nan(c.missing_fraction),
                 "failures": c.failures,
                 "rejection": _null_if_nan(c.rejection),
@@ -290,11 +287,8 @@ def mc_report(report: McReport) -> dict:
 
 def mc_timing(report: McReport) -> list[dict]:
     """Mean fit seconds per cell and tag, for the mc manifest."""
-    return [
-        {"beta_id": c.beta_id, "eta": c.eta, "n": c.n, "delta": c.delta,
-         "time_mean": _null_if_nan(c.time_mean)}
-        for c in report.cells
-    ]
+    return [_cell_values(c.config) | {"time_mean": _null_if_nan(c.time_mean)}
+            for c in report.cells]
 
 
 def build_manifest(

@@ -144,11 +144,8 @@ def _first_stage_basis(sample: MarSample, basis: FpcBasis) -> FpcBasis:
 
 def _missing_scores(sample: MarSample, basis: FpcBasis) -> np.ndarray:
     """Scores in `basis` of the curves whose responses are missing, once per sample and basis."""
-    # the entry holds `basis`, so no other basis can take its id while it is kept
-    return sample._derived(
-        ("missing_scores", id(basis)),
-        lambda: (basis, project_scores(basis, sample.x.values[~sample.r])),
-    )[1]
+    return sample._derived(("missing_scores", basis),
+                           lambda: project_scores(basis, sample.x.values[~sample.r]))
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,11 @@ class FunctionalSlope:
     intercept on that centered scale, the mean of the responses it fitted.
     Two-stage fits keep their first-stage fit in `first_stage` (None for
     one-stage fits), and IPW fits their completion weights in `ipw_weights`,
-    so the bootstrap can refit the whole pipeline.
+    so the bootstrap can refit the whole pipeline. The selection is held in
+    `indices` alone (a CV cutoff K selects columns 1..K); one-stage CV fits
+    (C, S) also keep their leave-one-out CV errors per K in `cv_errors`, and
+    LASSO fits the penalty of their support in `lasso_lambda`. Every field
+    is immutable, arrays included, so a fit kept on a sample cannot change.
     """
 
     method_tag: str
@@ -171,8 +172,8 @@ class FunctionalSlope:
     curve: np.ndarray
     response_center: float
     alpha: float = 0.0
-    cutoffs: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    cv_errors: np.ndarray | None = None
+    lasso_lambda: float | None = None
     first_stage: FunctionalSlope | None = None
     ipw_weights: np.ndarray | None = None
 
@@ -447,10 +448,7 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
     _check_basis(sample, basis)
     if tag.endswith("L"):
         return _fit_pipeline(sample, basis, tag, seed)
-    # the entry holds `basis`, so no other basis can take its id while it is kept
-    return sample._derived(
-        ("slope", id(basis), tag), lambda: (basis, _fit_pipeline(sample, basis, tag, seed))
-    )[1]
+    return sample._derived(("slope", basis, tag), lambda: _fit_pipeline(sample, basis, tag, seed))
 
 
 def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> FunctionalSlope:
@@ -472,17 +470,15 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
             ob.scores[:, :_first_stage_limit(ob, sample)], ytilde, seed=seed
         )
         first = _ols_slope(first_tag, ob, support, ytilde, ybar,
-                           cutoffs={"indices": support}, diagnostics={"lambda": diag["lambda"]})
+                           lasso_lambda=float(diag["lambda"]))
     elif two_stage:
         k_s, k_second = joint_loocv_cutoffs(sample, basis, ipw_weights)
-        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
-                           cutoffs={"K_S": k_s})
+        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar)
     else:
         errors = _simplified_cv_errors(ytilde, ob, _first_stage_limit(ob, sample))
         errors.setflags(write=False)
         k_s = _first_cv_minimum(errors, ytilde) + 1
-        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar,
-                           cutoffs={"K_S": k_s}, diagnostics={"cv_errors": errors})
+        first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar, cv_errors=errors)
     if not two_stage:
         return first
 
@@ -490,11 +486,8 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
     completed = _completed_responses(sample, first, ytilde, ipw_weights)
     if lasso:
         indices, diag = lasso_select(basis.scores, completed, seed=seed)
-        cutoffs = {"indices": indices, "first_stage": first.indices}
-        diagnostics = {"lambda": diag["lambda"]}
+        lasso_lambda = float(diag["lambda"])
     else:
-        indices = range(1, k_second + 1)
-        cutoffs = {"K_S": k_s, f"K_{completion}": k_second}
-        diagnostics = {}
-    return _ols_slope(tag, basis, indices, completed, ybar, cutoffs=cutoffs,
-                      diagnostics=diagnostics, first_stage=first, ipw_weights=ipw_weights)
+        indices, lasso_lambda = range(1, k_second + 1), None
+    return _ols_slope(tag, basis, indices, completed, ybar, lasso_lambda=lasso_lambda,
+                      first_stage=first, ipw_weights=ipw_weights)

@@ -102,9 +102,11 @@ def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
     return centered, mean_curve
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpcBasis:
     """Eigenstructure of the sample covariance operator (1/n normalization).
+
+    A basis compares and hashes by identity, so it can key per-basis memos.
 
     Attributes
     ----------

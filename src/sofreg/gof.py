@@ -352,38 +352,30 @@ def wild_bootstrap_test(
     observed_stat = pcvm_statistic(eps, a)
 
     # Noiseless-linear data leaves only round-off in the residuals; the test
-    # then has nothing against linearity, so short-circuit to p = 1 instead
-    # of comparing quadratic forms of numerical dust. The yardstick is the
-    # spread of the observed responses, so units do not decide.
+    # then has nothing against linearity, so every statistic is zero (p = 1)
+    # instead of a comparison of quadratic forms of numerical dust. The
+    # yardstick is the spread of the observed responses, so units do not decide.
     spread = float(np.max(np.abs(sample.y_observed - sample.observed_mean)))
     if float(np.max(np.abs(eps))) <= 1e-10 * spread:
-        return GofResult(
-            statistic=0.0,
-            bootstrap_statistics=np.zeros(b),
-            p_value=1.0,
-            method_tag=method_tag,
-            indices=slope.indices,
-            seed=seed,
-            n_obs=n_s,
-        )
+        observed_stat, stats = 0.0, np.zeros(b)
+    else:
+        mu = slope.predict_centered(score_rows)
+        refit = _refit_residuals(sample, slope, np.eye(n_s))
+        m = refit @ a.values @ refit.T
+        m_mu = m @ mu
+        q = eps[:, None] * m * eps[None, :]
+        q1 = 2.0 * eps * m_mu
+        c0 = float(mu @ m_mu)
+        if not (math.isfinite(c0) and np.all(np.isfinite(q1)) and np.all(np.isfinite(q))):
+            raise NumericalError(f"non-finite bootstrap operator for method {method_tag}")
 
-    mu = slope.predict_centered(score_rows)
-    refit = _refit_residuals(sample, slope, np.eye(n_s))
-    m = refit @ a.values @ refit.T
-    m_mu = m @ mu
-    q = eps[:, None] * m * eps[None, :]
-    q1 = 2.0 * eps * m_mu
-    c0 = float(mu @ m_mu)
-    if not (math.isfinite(c0) and np.all(np.isfinite(q1)) and np.all(np.isfinite(q))):
-        raise NumericalError(f"non-finite bootstrap operator for method {method_tag}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
-    v = golden_section_multipliers((b, n_s), rng)
-    stats = np.einsum("bl,bl->b", v @ q, v)
-    stats += v @ q1
-    stats += c0
-    stats /= float(n_s) ** 2
-    np.maximum(stats, 0.0, out=stats)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
+        v = golden_section_multipliers((b, n_s), rng)
+        stats = np.einsum("bl,bl->b", v @ q, v)
+        stats += v @ q1
+        stats += c0
+        stats /= float(n_s) ** 2
+        np.maximum(stats, 0.0, out=stats)
 
     p_value = float(np.count_nonzero(observed_stat <= stats)) / b
     return GofResult(

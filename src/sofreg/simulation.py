@@ -195,13 +195,9 @@ def generate_dataset(config: DgpConfig, seed):
 
 @dataclass
 class CellResult:
-    """Aggregates for one (beta_id, eta, n, delta) cell."""
+    """Aggregates over the replicates of one cell, the configuration `config`."""
 
-    beta_id: int
-    eta: float | None
-    n: int
-    delta: float
-    m: int
+    config: DgpConfig
     failures: dict[str, int]
     rejection: dict[str, float]
     msee_mean: dict[str, float]
@@ -338,6 +334,9 @@ def mc_experiment(
         raise ConfigError("threads must be at least 1")
     if not configs:
         raise ConfigError("an mc run needs at least one configuration")
+    # the report holds one grid_points and one sigma_eps for all its cells
+    if len({(c.grid_points, c.sigma_eps) for c in configs}) > 1:
+        raise ConfigError("the cells of an mc run must share grid_points and sigma_eps")
     tags = tuple(t.upper() for t in estimators)
     if not tags:
         raise ConfigError("an mc run needs at least one estimator")
@@ -393,11 +392,7 @@ def mc_experiment(
         )
         cells.append(
             CellResult(
-                beta_id=config.beta_id,
-                eta=config.eta,
-                n=config.n,
-                delta=config.delta,
-                m=m,
+                config=config,
                 failures={t: sum(e["error"] is not None for e in entries[t]) for t in tags},
                 rejection={t: _finite_mean(np.where(np.isnan(p), np.nan, p <= alpha))
                            for t, p in p_values.items()},

@@ -436,23 +436,27 @@ class TestMc:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("cells, message", [
+    @pytest.mark.parametrize("cells, tables, stems", [
         (["--eta", "0.5", "0.5000001"],
-         "cells beta_id=1, eta=0.5, n=30, delta=0.0 and beta_id=1, eta=0.5000001, n=30, "
-         "delta=0.0 would both write rejections_beta1_eta0.5.csv"),
+         ["rejections_beta1_eta0.5.csv", "rejections_beta1_eta0.5000001.csv"],
+         ["beta1_eta0.5_n30_delta0", "beta1_eta0.5000001_n30_delta0"]),
         (["--eta", "0.5", "--delta", "0.1", "0.1000001"],
-         "cells beta_id=1, eta=0.5, n=30, delta=0.1 and beta_id=1, eta=0.5, n=30, "
-         "delta=0.1000001 would both write boxplot_*_beta1_eta0.5_n30_delta0.1.svg"),
+         ["rejections_beta1_eta0.5.csv"],
+         ["beta1_eta0.5_n30_delta0.1", "beta1_eta0.5_n30_delta0.1000001"]),
     ], ids=["eta", "delta"])
-    def test_refuses_cells_that_print_alike(self, tmp_path, capsys, cells, message):
-        # file names print eta and delta to six significant digits: the
-        # second cell's table or boxplots would overwrite the first's
+    def test_cells_that_differ_past_six_digits_write_their_own_files(self, tmp_path, cells,
+                                                                     tables, stems):
+        # six significant digits would print each pair of values alike, and
+        # the second cell's table or boxplots would overwrite the first's
         out = tmp_path / "mc"
         assert run(["mc", "--beta-id", 1, *cells, "--n", 30, "--m", 1, "--bootstrap", 10,
                     "--estimators", "S", "--seed", 1, "--threads", 1, "--plots",
-                    "--out", out]) == 3
-        assert message in capsys.readouterr().err
-        assert not out.exists()
+                    "--out", out]) == 0
+        expected = sorted(tables + ["report.json"] + [f"boxplot_{quantity}_{stem}.svg"
+                                                      for quantity in ("msee", "time")
+                                                      for stem in stems])
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected + ["manifest.json"])
 
     @pytest.mark.parametrize("line", ["n = 30, 30", "estimators = S, I, s"])
     def test_config_file_refuses_a_repeated_value(self, tmp_path, capsys, line):

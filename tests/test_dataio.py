@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sofreg import dataio
 from sofreg.dataio import read_curves_csv, read_responses_csv
-from sofreg.exceptions import ConfigError, CsvFormatError
+from sofreg.exceptions import CsvFormatError
 from sofreg.simulation import CellResult, DgpConfig, McReport
 
 GRID_ROW = "0.0,0.5,1.0"
@@ -103,7 +103,7 @@ class TestCurvesReader:
 class TestRejectionTables:
     def test_one_table_per_beta_and_eta_of_the_cells_in_their_order(self):
         def cell(beta_id, eta, n, delta, rate):
-            return CellResult(beta_id=beta_id, eta=eta, n=n, delta=delta, m=1,
+            return CellResult(DgpConfig(beta_id=beta_id, eta=eta, n=n, delta=delta),
                               failures={"S": 0}, rejection={"S": rate}, msee_mean={},
                               time_mean={}, p_values={}, msee={}, times={},
                               missing_fraction=0.25)
@@ -123,10 +123,17 @@ class TestRejectionTables:
 
 
 class TestMcFileNames:
-    def test_boxplot_stems_are_checked_only_with_plots(self):
-        # one table holds both cells' rows, delta printed in full; only
-        # the boxplots would collide
-        configs = [DgpConfig(beta_id=1, eta=0.5, n=30, delta=d) for d in (0.1, 0.1000001)]
-        dataio.check_mc_file_names(configs, plots=False)
-        with pytest.raises(ConfigError, match="boxplot"):
-            dataio.check_mc_file_names(configs, plots=True)
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    min_size=2, max_size=2, unique=True))
+    def test_property_value_texts_read_back(self, values):
+        # six significant digits would print 0.5 and 0.5000001 alike
+        texts = [dataio._value_text(v) for v in values]
+        assert texts[0] != texts[1]
+        assert [float(t) for t in texts] == values
+
+    def test_names_of_the_documented_values_keep_their_form(self):
+        assert [dataio._value_text(v) for v in (None, 0.0, 0.03, 0.5, 1.0, 2.0, 0.1234567)] == [
+            "none", "0", "0.03", "0.5", "1", "2", "0.1234567"]
+        assert dataio.cell_stem(DgpConfig(beta_id=3, eta=1.0, n=100, delta=0.0)) == \
+            "beta3_eta1_n100_delta0"

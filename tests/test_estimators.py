@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from oracles import (
     nw_bandwidth_reference,
     ols_fpc_coefficients,
 )
+from sofreg.dataio import _cutoffs, slope_report
 from sofreg.estimators import (
     EPS_P,
     MarSample,
@@ -119,15 +122,15 @@ class TestOlsCoefficients:
 class TestSimplifiedCutoff:
     def test_noiseless_first_component(self):
         sample, basis = make_score_linear_sample({1: 1.0}, n=40, seed=4)
-        assert fit_slope(sample, basis, "S").cutoffs["K_S"] == 1
+        assert fit_slope(sample, basis, "S").indices == (1,)
 
     def test_matches_brute_force(self):
         sample, basis, _ = make_mar_dataset(n=25, beta_id=3, eta=1.0, seed=5)
         ob = observed_pairs_basis(sample)
         slope = fit_slope(sample, basis, "S")
         brute = brute_simplified_cv(sample, ob, min(ob.k_max, sample.n_obs - 1))
-        np.testing.assert_allclose(slope.diagnostics["cv_errors"], brute, rtol=1e-9)
-        assert slope.cutoffs["K_S"] == int(np.argmin(brute)) + 1
+        np.testing.assert_allclose(slope.cv_errors, brute, rtol=1e-9)
+        assert len(slope.indices) == int(np.argmin(brute)) + 1
 
     def test_pure_noise_prefers_one_component(self):
         wins = 0
@@ -137,7 +140,7 @@ class TestSimplifiedCutoff:
             basis = fpc_decompose(x)
             y = rng.normal(size=50)
             sample = MarSample(x, y, np.ones(50, dtype=bool))
-            wins += fit_slope(sample, basis, "S").cutoffs["K_S"] == 1
+            wins += fit_slope(sample, basis, "S").indices == (1,)
         assert wins > 50
 
 
@@ -174,8 +177,8 @@ class TestJointCutoffs:
         assert (sample.n_obs, ob.k_max, basis.k_max) == (5, 4, 5)
         slope = fit_slope(sample, basis, "S")
         brute = brute_simplified_cv(sample, ob, 3)
-        np.testing.assert_allclose(slope.diagnostics["cv_errors"], brute, rtol=1e-9)
-        assert slope.cutoffs["K_S"] == int(np.argmin(brute)) + 1
+        np.testing.assert_allclose(slope.cv_errors, brute, rtol=1e-9)
+        assert len(slope.indices) == int(np.argmin(brute)) + 1
         observance = fit_observance(sample)
         for tag, weights, model in (
             ("I", None, None),
@@ -185,12 +188,13 @@ class TestJointCutoffs:
             table = _joint_cv_table(sample, basis, weights)
             brute = brute_joint_cv(sample, basis, ob, 3, 4, model)
             np.testing.assert_allclose(table, brute, rtol=1e-8)
-            cutoffs = fit_slope(sample, basis, tag).cutoffs
+            slope = fit_slope(sample, basis, tag)
             # ties prefer small K_second, then K_first
             k2, k1 = divmod(int(np.argmin(brute.T.ravel())), 3)
-            assert (cutoffs["K_S"], cutoffs[f"K_{tag}"]) == (k1 + 1, k2 + 1)
-        for tag, key in (("SL", "indices"), ("IL", "first_stage"), ("WL", "first_stage")):
-            assert max(fit_slope(sample, basis, tag, seed=1).cutoffs[key]) <= 3
+            assert (len(slope.first_stage.indices), len(slope.indices)) == (k1 + 1, k2 + 1)
+        for tag in ("SL", "IL", "WL"):
+            slope = fit_slope(sample, basis, tag, seed=1)
+            assert max((slope.first_stage or slope).indices) <= 3
 
     def test_returns_valid_pair(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=7)
@@ -514,7 +518,8 @@ class TestDeterminism:
             # a fresh sample of the same data, so no fit comes from the memo
             b = fit_slope(MarSample(sample.x, sample.y, sample.r), basis, tag, seed=77)
             assert a.indices == b.indices
-            assert a.cutoffs == b.cutoffs
+            assert _cutoffs(a) == _cutoffs(b)
+            assert a.lasso_lambda == b.lasso_lambda
             np.testing.assert_array_equal(a.coefficients, b.coefficients)
 
     def test_method_c_requires_full_observation(self):
@@ -539,6 +544,22 @@ class TestSampleMemo:
                     values[0] = 0.0
         assert len(joint) == 2
         assert fit_slope(sample, fpc_decompose(sample.x), "S") is not fit_slope(sample, basis, "S")
+
+    def test_a_kept_fit_cannot_be_changed(self):
+        # the fits are shared by every later call on the sample, and the test
+        # of a CV-selected tag reuses them
+        sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)
+        for tag in ("S", "I", "W"):
+            slope = fit_slope(sample, basis, tag)
+            report = slope_report(slope, sample)
+            for fit in (slope, slope.first_stage or slope):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    fit.indices = (1, 2, 3, 4, 5)
+                arrays = [fit.coefficients, fit.curve, fit.cv_errors, fit.ipw_weights]
+                for values in (a for a in arrays if a is not None):
+                    with pytest.raises(ValueError):
+                        values[0] = 99.0
+            assert slope_report(fit_slope(sample, basis, tag), sample) == report
 
     def test_lasso_fits_run_for_every_call(self, monkeypatch):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=1.0, seed=25)

@@ -16,6 +16,7 @@ from oracles import (
 from sofreg.blas import single_blas_thread
 import sofreg.estimators
 import sofreg.gof
+from sofreg.dataio import _cutoffs
 from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
 from sofreg.exceptions import GridMismatchError, NumericalError
 from sofreg.functional import FunctionalSample, fpc_decompose
@@ -397,7 +398,7 @@ class TestWildBootstrap:
             slope = fit_slope(target, basis, tag, **kwargs)
             image = fit_slope(mapped, basis, tag, **kwargs)
             assert image.indices == slope.indices
-            assert image.cutoffs == slope.cutoffs
+            assert _cutoffs(image) == _cutoffs(slope)
             scale = abs(a) * np.abs(slope.coefficients).max()
             np.testing.assert_allclose(image.coefficients, a * slope.coefficients,
                                        rtol=1e-10, atol=1e-10 * scale)
@@ -430,11 +431,11 @@ class TestWildBootstrap:
             slope = fit_slope(base, method=tag, seed=seed, **base_kw)
             image = fit_slope(scaled, method=tag, seed=seed, **scaled_kw)
             assert image.indices == slope.indices
-            assert image.cutoffs == slope.cutoffs
+            assert _cutoffs(image) == _cutoffs(slope)
             np.testing.assert_array_equal(image.coefficients,
                                           2.0 ** (b - a) * slope.coefficients)
             if tag.endswith("L"):
-                assert image.diagnostics["lambda"] == 2.0 ** (a + b) * slope.diagnostics["lambda"]
+                assert image.lasso_lambda == 2.0 ** (a + b) * slope.lasso_lambda
             cols = np.asarray(slope.indices) - 1
             np.testing.assert_array_equal(
                 build_a_matrix(_observed_score_rows(scaled, image)[:, cols]).values,
@@ -466,7 +467,7 @@ class TestWildBootstrap:
             slope = fit_slope(sample, fpc_decompose(sample.x), tag)
             image = fit_slope(moved, fpc_decompose(moved.x), tag)
             assert image.indices == slope.indices
-            assert image.cutoffs == slope.cutoffs
+            assert _cutoffs(image) == _cutoffs(slope)
             curve_scale = np.abs(slope.curve).max()
             np.testing.assert_allclose(image.curve, slope.curve, rtol=0,
                                        atol=1e-12 * curve_scale)

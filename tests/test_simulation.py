@@ -219,7 +219,7 @@ class TestMcExperiment:
         report = mc_experiment([cfg], m=1, b=20, estimators=("S",), seed=12)
         cell = report.cells[0]
         assert cell.rejection["S"] in (0.0, 1.0)
-        assert cell.m == 1
+        assert cell.config is cfg and cell.p_values["S"].shape == (1,)
 
     def test_requires_seed(self):
         cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
@@ -233,6 +233,16 @@ class TestMcExperiment:
     def test_refuses_an_empty_grid_or_estimator_list(self, configs, estimators):
         with pytest.raises(ConfigError, match="at least one"):
             mc_experiment(configs, m=1, b=10, estimators=estimators, seed=1)
+
+    def test_refuses_cells_of_other_grid_settings(self, monkeypatch):
+        # the report holds one grid_points and one sigma_eps: it gave the
+        # first cell's (21 and 0.1) for both cells
+        runs = count_calls(monkeypatch, simulation, "_run_replicate")
+        configs = [DgpConfig(beta_id=1, eta=1.0, n=40, grid_points=21, sigma_eps=0.1),
+                   DgpConfig(beta_id=1, eta=1.0, n=40, grid_points=51, sigma_eps=0.5)]
+        with pytest.raises(ConfigError, match="grid_points and sigma_eps"):
+            mc_experiment(configs, m=1, b=10, estimators=("S",), seed=1)
+        assert runs == []
 
     def test_thread_count_does_not_change_results(self):
         cfg = DgpConfig(beta_id=2, delta=0.0, eta=1.0, n=40)
@@ -253,7 +263,7 @@ class TestMcExperiment:
             report = mc_experiment(configs, m=4, b=20, estimators=("CL", "SL", "IL", "WL"),
                                    seed=21, threads=threads)
             payloads.append(json.dumps([{
-                "n": cell.n,
+                "n": cell.config.n,
                 "rejection": cell.rejection,
                 "msee_mean": cell.msee_mean,
                 "failures": cell.failures,
@@ -275,7 +285,7 @@ class TestMcExperiment:
         configs = [DgpConfig(beta_id=b, delta=0.0, eta=1.0, n=30) for b in (1, 2, 3)]
         report = mc_experiment(configs, m=3, b=10, estimators=("S",), seed=23, threads=2)
         assert pools == [2]
-        assert [cell.m for cell in report.cells] == [3, 3, 3]
+        assert [cell.p_values["S"].size for cell in report.cells] == [3, 3, 3]
 
     def test_serial_run_restores_the_callers_blas_threads(self):
         cfg = DgpConfig(beta_id=1, delta=0.0, eta=1.0, n=40)
