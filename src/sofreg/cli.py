@@ -4,8 +4,10 @@ Every command runs at one BLAS thread (threaded BLAS may sum in another
 order), so no output depends on the core count. `fit` and `test` share one
 body and differ only in the step that makes their report. The `mc` settings
 live in one table, `MC_SETTINGS`, from which come the flags, the config-file
-keys, the flag-over-file resolution and the manifest's `config`. Report
-formats live in `dataio`; this module only orchestrates.
+keys, the flag-over-file resolution and the manifest's `config`. The
+library checks every value once, so a flag and a file line that give the
+same value fail alike (exit code 3). Report formats live in `dataio`; this
+module only orchestrates.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ class McSetting:
     convert: Callable[[str], object]  # a ValueError rejects the token
     many: bool  # a list of values (nargs="+", comma-separated in the file)
     default: object  # the value, or a function of the parsed arguments
-    choices: tuple | None = None  # checked on the flag; the run checks file values
 
     def resolve(self, args, from_file: dict):
         value = getattr(args, self.name)
@@ -106,11 +107,11 @@ class McSetting:
 
 #: The twelve `mc` settings, in the order they are resolved.
 MC_SETTINGS = (
-    McSetting("beta_id", int, True, (3,), choices=(1, 2, 3)),
+    McSetting("beta_id", int, True, (3,)),
     McSetting("eta", _float_or_none, True, (1.0,)),
     McSetting("n", int, True, (100,)),
     McSetting("delta", float, True, (0.0,)),
-    McSetting("estimators", str.upper, True, METHOD_TAGS, choices=METHOD_TAGS),
+    McSetting("estimators", str.upper, True, METHOD_TAGS),
     McSetting("m", int, False, lambda args: FULL_M if args.full_scale else SCALED_M),
     McSetting("bootstrap", int, False, lambda args: FULL_B if args.full_scale else SCALED_B),
     McSetting("alpha", float, False, 0.05),
@@ -145,18 +146,6 @@ def _read_mc_config(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
             result[key] = values if setting.many else values[0]
     return result
-
-
-def _load_sample(curves_path: str, responses_path: str) -> MarSample:
-    x = read_curves_csv(curves_path)
-    y, r = read_responses_csv(responses_path)
-    if y.size != x.n:
-        raise ConfigError(
-            f"row count mismatch: {x.n} curves but {y.size} responses"
-        )
-    if not r.any():
-        raise ConfigError("all responses are missing")
-    return MarSample(x, y, r)
 
 
 def _args_config(args) -> dict:
@@ -216,7 +205,7 @@ def cmd_on_sample(step, args) -> int:
     or None, summary line).
     """
     started = time.time()
-    sample = _load_sample(args.curves, args.responses)
+    sample = MarSample(read_curves_csv(args.curves), *read_responses_csv(args.responses))
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
     stem, payload, svg, summary = step(args, sample, basis)
     os.makedirs(args.out, exist_ok=True)
@@ -238,8 +227,6 @@ def cmd_mc(args) -> int:
     from_file = _read_mc_config(args.config) if args.config else {}
     settings = {s.name: s.resolve(args, from_file) for s in MC_SETTINGS}
     seed = settings.pop("seed")
-    if seed is None:
-        raise ConfigError("mc runs must be seeded; pass --seed")
 
     configs = [
         DgpConfig(beta_id=bid, delta=d, eta=e, n=n,
@@ -299,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="draw a synthetic dataset")
-    sim.add_argument("--beta-id", type=int, default=3, choices=(1, 2, 3))
+    sim.add_argument("--beta-id", type=int, default=3)
     for name, convert in (("n", int), ("delta", float), ("eta", float),
                           ("sigma_eps", float), ("grid_points", int)):
         sim.add_argument("--" + name.replace("_", "-"), type=convert,
@@ -313,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         on_sample = sub.add_parser(command, help=help_text)
         on_sample.add_argument("--curves", required=True)
         on_sample.add_argument("--responses", required=True)
-        on_sample.add_argument("--method", required=True, choices=METHOD_TAGS)
+        on_sample.add_argument("--method", type=str.upper, required=True)
         if command == "test":
             on_sample.add_argument("--bootstrap", type=int, default=1000, metavar="B")
         on_sample.add_argument("--seed", type=int, default=0)
@@ -326,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--config", help="key = value file; flags override it")
     for s in MC_SETTINGS:
         mc.add_argument("--" + s.name.replace("_", "-"), type=s.convert,
-                        nargs="+" if s.many else None, choices=s.choices)
+                        nargs="+" if s.many else None)
     mc.add_argument("--full-scale", action="store_true",
                     help="M=1000, B=1000 instead of the scaled profile")
     mc.add_argument("--plots", action="store_true")

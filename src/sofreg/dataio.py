@@ -38,10 +38,17 @@ def _parse_float(token: str, line: int) -> float:
         raise CsvFormatError(f"malformed decimal value {token!r}", line=line) from None
 
 
-def _numbered_lines(path: str) -> list[tuple[int, str]]:
-    """(1-based file line, text) of every line that is not blank."""
-    with open(path, encoding="utf-8") as fh:
-        return [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
+def _numbered_lines(raw: bytes) -> list[tuple[int, str]]:
+    """(1-based file line, text) of every line of the file bytes `raw` that is
+    not blank, split at the line ends a text-mode read splits at. A byte
+    that is not UTF-8 is a format error on its line."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise CsvFormatError(f"not UTF-8 text ({exc.reason})", line=line) from None
+    return [(i, ln.rstrip("\n")) for i, ln in enumerate(io.StringIO(text, newline=None), start=1)
+            if ln.strip() != ""]
 
 
 def read_curves_csv(path: str) -> FunctionalSample:
@@ -49,9 +56,10 @@ def read_curves_csv(path: str) -> FunctionalSample:
 
     numpy's C reader parses the usual file. It gives float()'s bits but
     rejects some tokens float() accepts ('1_0', non-ASCII digits) and
-    whitespace-only lines, so any file it refuses, or reads as fewer than
-    two rows, goes through the line parser, which accepts and rejects
-    exactly as float() does and names the offending line.
+    whitespace-only lines, so any file it refuses (one that is not UTF-8
+    among them), or reads as fewer than two rows, goes through the line
+    parser, which accepts and rejects exactly as float() does and names the
+    offending line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -65,11 +73,11 @@ def read_curves_csv(path: str) -> FunctionalSample:
         else:
             if table.shape[0] >= 2:
                 return FunctionalSample(Grid(table[0]), table[1:])
-    return _read_curves_by_line(path)
+    return _read_curves_by_line(raw)
 
 
-def _read_curves_by_line(path: str) -> FunctionalSample:
-    lines = _numbered_lines(path)
+def _read_curves_by_line(raw: bytes) -> FunctionalSample:
+    lines = _numbered_lines(raw)
     if len(lines) < 2:
         raise CsvFormatError("need a grid row plus at least one curve row", line=1)
     grid_line, grid_text = lines[0]
@@ -94,7 +102,8 @@ def write_curves_csv(path: str, sample: FunctionalSample) -> None:
 
 def read_responses_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``y,observed`` file into (responses-with-NaN, indicator)."""
-    lines = _numbered_lines(path)
+    with open(path, "rb") as fh:
+        lines = _numbered_lines(fh.read())
     if not lines:
         raise CsvFormatError("empty responses file", line=1)
     header_line, header_text = lines[0]
@@ -262,14 +271,15 @@ def _cell_values(config: DgpConfig) -> dict:
 
 def mc_report(report: McReport) -> dict:
     """Deterministic JSON payload of an mc run (timing goes to the manifest)."""
+    config = report.cells[0].config  # the cells share grid_points and sigma_eps
     return {
         "alpha": report.alpha,
         "m": report.m,
         "bootstrap_count": report.b,
         "seed": report.seed,
         "estimators": list(report.estimators),
-        "grid_points": report.grid_points,
-        "sigma_eps": report.sigma_eps,
+        "grid_points": config.grid_points,
+        "sigma_eps": config.sigma_eps,
         "cells": [
             _cell_values(c.config) | {
                 "m": report.m,

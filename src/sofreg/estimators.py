@@ -83,7 +83,8 @@ class MarSample:
         y = np.asarray(self.y, dtype=float)
         r = np.asarray(self.r, dtype=bool)
         if y.shape != (self.x.n,) or r.shape != (self.x.n,):
-            raise GridMismatchError("y and r must have one entry per curve")
+            raise GridMismatchError(f"row count mismatch: {self.x.n} curves but {y.size} "
+                                    f"responses and {r.size} observance indicators")
         if int(r.sum()) < 2:
             raise ValueError("need at least 2 observed responses")
         if not np.all(np.isfinite(y[r])):
@@ -237,11 +238,6 @@ def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
     return int(np.flatnonzero(errors <= errors.min() + tol)[0])
 
 
-def _simplified_cv_errors(ytilde, ob: FpcBasis, k_eff: int) -> np.ndarray:
-    loo_resid = _loo_residuals(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)
-    return np.sum(loo_resid**2, axis=0)
-
-
 def _check_basis(sample: MarSample, basis: FpcBasis):
     if basis.n != sample.n:
         raise GridMismatchError("basis was not computed from this sample")
@@ -253,10 +249,9 @@ def _first_stage_limit(ob: FpcBasis, sample: MarSample) -> int:
     Without one of n_obs observed pairs, a fit on n_obs - 1 columns has as
     many parameters as rows: its leverages are 1 and its CV error is round-off
     over the leverage floor. So K stops at n_obs - 2 (at least 1); the
-    second stage, refit over all n rows, keeps its limit of n_obs - 1.
+    second stage, refit over all n rows, keeps its limit of n_obs - 1. A
+    sample has at least two observed pairs and a basis at least one column.
     """
-    if sample.n_obs < 2 or ob.k_max < 1:
-        raise ValueError("not enough observed pairs to fit any component")
     return min(ob.k_max, max(1, sample.n_obs - 2))
 
 
@@ -287,8 +282,7 @@ def _joint_cv_table(sample: MarSample, basis: FpcBasis,
     errors = np.empty((k1_eff, k2_eff))
     for ks in range(1, k1_eff + 1):
         masked[diag] = ytilde - loo_resid[:, ks - 1]
-        first = _ols_slope("S", ob, range(1, ks + 1), ytilde, sample.observed_mean)
-        completed = _completed_responses(sample, first, masked, ipw_weights)
+        completed = _completed_responses(sample, ob, range(1, ks + 1), masked, ipw_weights)
         alpha, coef = _plugin_fit(s2, basis.eigenvalues[:k2_eff], completed)
         pred = alpha[:, None] + np.cumsum(coef * s2_obs, axis=1)
         errors[ks - 1] = np.sum((ytilde[:, None] - pred) ** 2, axis=0)
@@ -402,20 +396,21 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
     )
 
 
-def _completed_responses(sample: MarSample, first: FunctionalSlope, y_obs: np.ndarray,
+def _completed_responses(sample: MarSample, basis: FpcBasis, indices, y_obs: np.ndarray,
                          ipw_weights: np.ndarray | None) -> np.ndarray:
-    """All n responses completed from a refit of the first stage `first`.
+    """All n responses completed from a first stage fitted on `indices` of `basis`.
 
-    `y_obs` holds centered observed responses, one (n_obs,) vector or a
-    (B, n_obs) stack. The first stage is refitted to them at its own indices
-    and predicts every row: observed rows from the first stage's own score
-    rows, missing rows from their projections on its basis. Imputation fills
-    the missing rows with those predictions; with `ipw_weights` w (zero where
-    y is missing), every row becomes w y + (1 - w) pred.
+    `basis` is the observed-pairs basis and `y_obs` holds centered observed
+    responses, one (n_obs,) vector or a (B, n_obs) stack. The first stage is
+    fitted to them at `indices` and predicts every row: observed rows from
+    the basis's own score rows, missing rows from their projections on it.
+    Imputation fills the missing rows with those predictions; with
+    `ipw_weights` w (zero where y is missing), every row becomes
+    w y + (1 - w) pred.
     """
-    cols = np.asarray(first.indices, dtype=int) - 1
-    s_obs = first.basis.scores[:, cols]
-    alpha, coef = _plugin_fit(s_obs, first.basis.eigenvalues[cols], y_obs)
+    cols = np.asarray(indices, dtype=int) - 1
+    s_obs = basis.scores[:, cols]
+    alpha, coef = _plugin_fit(s_obs, basis.eigenvalues[cols], y_obs)
     alpha = np.expand_dims(alpha, -1)
     completed = np.empty(y_obs.shape[:-1] + (sample.n,))
     obs = sample.observed_index
@@ -426,7 +421,7 @@ def _completed_responses(sample: MarSample, first: FunctionalSlope, y_obs: np.nd
         completed[..., obs] = w * y_obs + (1.0 - w) * (alpha + coef @ s_obs.T)
     miss = np.flatnonzero(~sample.r)
     if miss.size:
-        completed[..., miss] = alpha + coef @ _missing_scores(sample, first.basis)[:, cols].T
+        completed[..., miss] = alpha + coef @ _missing_scores(sample, basis)[:, cols].T
     return completed
 
 
@@ -475,7 +470,9 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
         k_s, k_second = joint_loocv_cutoffs(sample, basis, ipw_weights)
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar)
     else:
-        errors = _simplified_cv_errors(ytilde, ob, _first_stage_limit(ob, sample))
+        k_eff = _first_stage_limit(ob, sample)
+        loo_resid = _loo_residuals(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)
+        errors = np.sum(loo_resid**2, axis=0)
         errors.setflags(write=False)
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar, cv_errors=errors)
@@ -483,7 +480,7 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
         return first
 
     # second stage: all n responses, completed from the first stage
-    completed = _completed_responses(sample, first, ytilde, ipw_weights)
+    completed = _completed_responses(sample, ob, first.indices, ytilde, ipw_weights)
     if lasso:
         indices, diag = lasso_select(basis.scores, completed, seed=seed)
         lasso_lambda = float(diag["lambda"])

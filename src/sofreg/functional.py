@@ -1,4 +1,4 @@
-"""Discretized L2 primitives: grids, curve samples, centering, and FPC bases.
+"""Discretized L2 primitives: grids, curve samples, and FPC bases.
 
 Curves are vectors of values on a shared equidistant grid over [a, b]; all
 integrals are trapezoid-rule sums, so norms, distances and score projections
@@ -95,13 +95,6 @@ class FunctionalSample:
         return np.maximum(d2, 0.0)
 
 
-def center(sample: FunctionalSample) -> tuple[FunctionalSample, np.ndarray]:
-    """Subtract the cross-sectional mean curve; returns (centered sample, mean)."""
-    mean_curve = sample.values.mean(axis=0)
-    centered = FunctionalSample(sample.grid, sample.values - mean_curve)
-    return centered, mean_curve
-
-
 @dataclass(frozen=True, eq=False)
 class FpcBasis:
     """Eigenstructure of the sample covariance operator (1/n normalization).
@@ -180,10 +173,10 @@ def fpc_decompose(
     n = sample.n
     if n < 2:
         raise DegenerateSampleError("need at least 2 curves to decompose")
-    centered, mean_curve = center(sample)
+    mean_curve = sample.values.mean(axis=0)
 
     sqrt_w = np.sqrt(sample.grid.quad_weights)
-    scaled = centered.values * (sqrt_w / np.sqrt(n))
+    scaled = (sample.values - mean_curve) * (sqrt_w / np.sqrt(n))
     curves_side = n <= sample.grid.n_points
     gram = scaled @ scaled.T if curves_side else scaled.T @ scaled
     eigenvalues, vectors = np.linalg.eigh(gram)

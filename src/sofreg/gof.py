@@ -86,12 +86,6 @@ def _observed_score_rows(sample: MarSample, slope: FunctionalSlope) -> np.ndarra
     raise GridMismatchError("slope was fitted on a different sample")
 
 
-def residuals(sample: MarSample, slope: FunctionalSlope) -> np.ndarray:
-    """Residuals over the observed pairs only, ordered by observed index."""
-    ytilde = sample.y_observed - sample.observed_mean
-    return ytilde - slope.predict_centered(_observed_score_rows(sample, slope))
-
-
 def _unit_differences(block: np.ndarray):
     """Unit difference vectors between the distinct points of a score block.
 
@@ -310,7 +304,8 @@ def _refit_residuals(sample: MarSample, slope: FunctionalSlope, ystar: np.ndarra
     cols = np.asarray(slope.indices, dtype=int) - 1
     target = ystar
     if slope.first_stage is not None:
-        target = _completed_responses(sample, slope.first_stage, ystar, slope.ipw_weights)
+        first = slope.first_stage
+        target = _completed_responses(sample, first.basis, first.indices, ystar, slope.ipw_weights)
     alpha, coef = _plugin_fit(slope.basis.scores[:, cols], slope.basis.eigenvalues[cols], target)
     return ystar - alpha[:, None] - coef @ _observed_score_rows(sample, slope)[:, cols].T
 
@@ -344,8 +339,10 @@ def wild_bootstrap_test(
     slope = fit_slope(sample, basis, method_tag, seed=seed)
     method_tag = slope.method_tag
 
-    eps = residuals(sample, slope)
+    ytilde = sample.y_observed - sample.observed_mean
     score_rows = _observed_score_rows(sample, slope)
+    mu = slope.predict_centered(score_rows)  # fitted values over the observed pairs
+    eps = ytilde - mu
     block = score_rows[:, np.asarray(slope.indices, dtype=int) - 1]
     a = sample._derived(("A", block.shape, block.tobytes()), lambda: build_a_matrix(block))
     n_s = sample.n_obs
@@ -355,11 +352,9 @@ def wild_bootstrap_test(
     # then has nothing against linearity, so every statistic is zero (p = 1)
     # instead of a comparison of quadratic forms of numerical dust. The
     # yardstick is the spread of the observed responses, so units do not decide.
-    spread = float(np.max(np.abs(sample.y_observed - sample.observed_mean)))
-    if float(np.max(np.abs(eps))) <= 1e-10 * spread:
+    if float(np.max(np.abs(eps))) <= 1e-10 * float(np.max(np.abs(ytilde))):
         observed_stat, stats = 0.0, np.zeros(b)
     else:
-        mu = slope.predict_centered(score_rows)
         refit = _refit_residuals(sample, slope, np.eye(n_s))
         m = refit @ a.values @ refit.T
         m_mu = m @ mu

@@ -51,9 +51,9 @@ def _exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,
                 mu_top: np.ndarray) -> np.ndarray:
     """Exact LASSO coefficients of a stack of F problems at shared half-penalties.
 
-    `gram` is (F, K, K), `cty` (F, K), `mus` (L,) nonnegative in any order, and
-    `mu_top` (F,) the kink where each problem's first column joins;
-    coefficients are zero at and above it. Returns an (F, L, K) array.
+    `gram` is (F, K, K), `cty` (F, K), `mus` (L,) nonnegative in any order
+    with L >= 1, and `mu_top` (F,) the kink where each problem's first column
+    joins; coefficients are zero at and above it. Returns an (F, L, K) array.
 
     All members take one step per iteration: one batched solve on Grams whose
     inactive rows and columns are the identity, then every member's next kink
@@ -64,8 +64,6 @@ def _exact_path(gram: np.ndarray, cty: np.ndarray, mus: np.ndarray,
     """
     n_members, k = cty.shape
     out = np.zeros((n_members, mus.size, k))
-    if mus.size == 0:
-        return out
     lowest = float(mus.min())
     live = mu_top > lowest
     if not live.any():

@@ -210,7 +210,7 @@ class CellResult:
 
 @dataclass
 class McReport:
-    """Full harness output across a grid of cells."""
+    """Full harness output across a grid of cells, which share grid_points and sigma_eps."""
 
     alpha: float
     m: int
@@ -218,8 +218,6 @@ class McReport:
     seed: int
     estimators: tuple[str, ...]
     cells: list[CellResult]
-    grid_points: int
-    sigma_eps: float
     #: Replicates run again in this process after a pool worker died.
     reruns: int = 0
 
@@ -342,7 +340,7 @@ def mc_experiment(
         raise ConfigError("an mc run needs at least one estimator")
     for t in tags:
         if t not in METHOD_TAGS:
-            raise ConfigError(f"unknown estimator tag {t!r}")
+            raise ConfigError(f"unknown estimator tag {t!r}; expected one of {METHOD_TAGS}")
         if tags.count(t) > 1:
             raise ConfigError(f"estimator tag {t!r} is given more than once")
     # a cell is known by these four values in every report and file name
@@ -411,7 +409,5 @@ def mc_experiment(
         seed=seed,
         estimators=tags,
         cells=cells,
-        grid_points=configs[0].grid_points,
-        sigma_eps=configs[0].sigma_eps,
         reruns=reruns,
     )

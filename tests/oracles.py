@@ -13,7 +13,8 @@ direction integral is the sphere surface area times the sample mean over
 draws. `per_vertex_a_matrix` evaluates the closed form one point at a
 time, the loop the blocked `build_a_matrix` replaces. The bootstrap reference refits every replicate by itself at the
 frozen structure and forms its quadratic form in A, the route the
-production quadratic form in the multipliers replaces. The LASSO oracle
+production quadratic form in the multipliers replaces; `residuals` gives
+a fit's residuals over the observed pairs. The LASSO oracle
 cross-validates fold by fold with one exact path per centred training fold
 instead of one batched path over all folds, and `kkt_violation` measures
 how far a coefficient vector is from optimal. `lambda_max` and
@@ -38,7 +39,6 @@ from sofreg.gof import (
     _refit_residuals,
     _unit_differences,
     pcvm_statistic,
-    residuals,
 )
 from sofreg.lasso import LAMBDA_MIN_RATIO, N_LAMBDAS, _exact_path, _full_gram
 
@@ -133,6 +133,12 @@ def completed_ipw_responses(sample, slope, observance):
     weights /= weights[sample.r].mean()
     y_filled = np.where(sample.r, sample.y, 0.0)
     return weights * y_filled + (1.0 - weights) * slope.predict_sample(sample.x)
+
+
+def residuals(sample, slope):
+    """Residuals of `slope` over the observed pairs only, ordered by observed index."""
+    ytilde = sample.y_observed - sample.observed_mean
+    return ytilde - slope.predict_centered(_observed_score_rows(sample, slope))
 
 
 def per_replicate_bootstrap_statistics(sample, slope, a, multipliers):

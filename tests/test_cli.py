@@ -94,6 +94,17 @@ class TestSimulate:
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_range_beta_id_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run(["simulate", "--beta-id", 4, "--seed", 1, "--out", out]) == 3
+        assert "beta_id must be 1, 2, or 3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def fit_argv(curves, responses, out, method="S", *extra):
+    return ["fit", "--curves", curves, "--responses", responses, "--method", method,
+            "--out", out, *extra]
+
 
 class TestFit:
     def test_noiseless_roundtrip_recovers_truth(self, noiseless_dataset, tmp_path):
@@ -146,6 +157,7 @@ class TestFit:
         code = run(["fit", "--curves", noiseless_dataset / "curves.csv",
                     "--responses", short, "--method", "C", "--out", tmp_path / "o"])
         assert code == 3
+        assert "row count mismatch: 60 curves but 55 responses" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid_row", ["0,nan,1", "0,0.5,inf"])
     def test_non_finite_grid_is_config_error(self, grid_row, tmp_path, capsys):
@@ -168,6 +180,76 @@ class TestFit:
         code = run(["fit", "--curves", noiseless_dataset / "curves.csv",
                     "--responses", all_missing, "--method", "S", "--out", tmp_path / "o"])
         assert code == 3
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1.5,1"] + ["NA,0"] * 59, "need at least 2 observed responses"),
+        (["nan,1"] + ["1.5,1"] * 59, "observed responses must be finite"),
+    ], ids=["one-observed", "nan-observed"])
+    def test_unusable_responses_are_config_errors(self, noiseless_dataset, tmp_path, capsys,
+                                                   rows, message):
+        responses = tmp_path / "responses.csv"
+        responses.write_text("\n".join(["y,observed"] + rows) + "\n")
+        assert run(fit_argv(noiseless_dataset / "curves.csv", responses, tmp_path / "o")) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("", 1, "empty responses file"),
+        ("y,observed,z\n1.5,1,0\n", 1, "header must be 'y,observed'"),
+        ("y,observed\n1.5,1\n1.5,1,0\n", 3, "expected two columns"),
+        ("y,observed\n1.5,1\nx,0\n", 3, "unobserved response must be empty or NA, found 'x'"),
+    ], ids=["empty", "header", "three-columns", "unobserved-value"])
+    def test_malformed_responses_name_their_line(self, noiseless_dataset, tmp_path, capsys,
+                                                 text, line, message):
+        responses = tmp_path / "responses.csv"
+        responses.write_text(text)
+        assert run(fit_argv(noiseless_dataset / "curves.csv", responses, tmp_path / "o")) == 2
+        assert f"error: line {line}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["curves.csv", "responses.csv"])
+    def test_a_file_that_is_not_utf8_names_its_line(self, noiseless_dataset, tmp_path, capsys,
+                                                   name):
+        # a parse error like any other, not the codec's message without a line
+        files = {n: noiseless_dataset / n for n in ("curves.csv", "responses.csv")}
+        lines = files[name].read_bytes().split(b"\n")
+        lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+        files[name] = tmp_path / name
+        files[name].write_bytes(b"\n".join(lines))
+        code = run(fit_argv(files["curves.csv"], files["responses.csv"], tmp_path / "o"))
+        assert code == 2
+        assert "error: line 3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", [0, 1.5])
+    def test_kmax_var_cutoff_outside_the_unit_interval_is_config_error(
+            self, noiseless_dataset, tmp_path, capsys, cutoff):
+        code = run(fit_argv(noiseless_dataset / "curves.csv", noiseless_dataset / "responses.csv",
+                            tmp_path / "o", "S", "--kmax-var-cutoff", cutoff))
+        assert code == 3
+        assert "var_cutoff must lie in (0, 1]" in capsys.readouterr().err
+
+    def test_identical_curves_are_a_numerical_error(self, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("0,0.5,1\n" + "1,2,3\n" * 12)
+        responses = tmp_path / "responses.csv"
+        responses.write_text("y,observed\n" + "".join(f"{i}.5,1\n" for i in range(12)))
+        assert run(fit_argv(curves, responses, tmp_path / "o")) == 4
+        assert "numerical error: " in capsys.readouterr().err
+
+    def test_method_is_case_insensitive(self, mar_dataset, tmp_path):
+        reports = []
+        for method in ("I", "i"):
+            out = tmp_path / f"fit-{method}"
+            assert run(fit_argv(mar_dataset / "curves.csv", mar_dataset / "responses.csv",
+                                out, method)) == 0
+            reports.append((out / "slope_I.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_unknown_method_is_config_error(self, mar_dataset, tmp_path, capsys):
+        # the library's message, as for a tag that mc reads from a config file
+        out = tmp_path / "o"
+        assert run(fit_argv(mar_dataset / "curves.csv", mar_dataset / "responses.csv",
+                            out, "X")) == 3
+        assert "unknown method tag 'X'; expected one of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plot_written(self, mar_dataset, tmp_path):
         out = tmp_path / "fitplot"
@@ -484,6 +566,42 @@ class TestMc:
             argv += ["--config", cfg]
         assert run(argv) == 3
         assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("beta_id", "4", "beta_id must be 1, 2, or 3"),
+        ("estimators", "X", "unknown estimator tag 'X'; expected one of"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_out_of_range_setting_is_config_error(self, tmp_path, capsys, route, name, value,
+                                                  message):
+        # a flag and a file line are checked by the same library code
+        out = tmp_path / "mc"
+        flags = {"beta_id": 1, "n": 30, "m": 1, "bootstrap": 5, "estimators": "S",
+                 "seed": 1, "threads": 1}
+        if route == "flag":
+            flags[name] = value
+        else:
+            del flags[name]
+            cfg = tmp_path / "mc.cfg"
+            cfg.write_text(f"{name} = {value}\n")
+            flags["config"] = cfg
+        argv = [token for key, v in flags.items() for token in ("--" + key.replace("_", "-"), v)]
+        assert run(["mc", *argv, "--out", out]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("n 30", "expected 'key = value'"),
+        ("replicates = 3", "unknown key 'replicates'"),
+    ])
+    def test_config_file_names_the_line_of_a_malformed_line(self, tmp_path, capsys, line,
+                                                             message):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text(f"beta_id = 1\n\n{line}\nseed = 4\n")
+        out = tmp_path / "mc"
+        assert run(["mc", "--config", cfg, "--out", out]) == 3
+        assert f"{cfg}:3: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file_names_the_line_of_a_malformed_value(self, tmp_path, capsys):

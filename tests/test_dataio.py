@@ -110,8 +110,7 @@ class TestRejectionTables:
 
         cells = [cell(3, 0.5, 30, 0.0, 0.0), cell(3, 0.5, 30, 0.03, np.nan),
                  cell(3, None, 30, 0.0, 1.0), cell(1, 0.5, 50, 0.0, 0.5)]
-        report = McReport(alpha=0.05, m=1, b=10, seed=1, estimators=("S",), cells=cells,
-                          grid_points=201, sigma_eps=0.1)
+        report = McReport(alpha=0.05, m=1, b=10, seed=1, estimators=("S",), cells=cells)
         tables = dataio.rejection_tables(report)
         assert [name for name, _ in tables] == [
             "rejections_beta3_eta0.5.csv", "rejections_beta3_etanone.csv",

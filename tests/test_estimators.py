@@ -15,7 +15,9 @@ from oracles import (
 )
 from sofreg.dataio import _cutoffs, slope_report
 from sofreg.estimators import (
+    BANDWIDTH_FACTORS,
     EPS_P,
+    METHOD_TAGS,
     MarSample,
     ObservanceModel,
     _median,
@@ -377,6 +379,20 @@ class TestObservance:
         with pytest.raises(DegenerateSampleError):
             fit_observance(sample)
 
+    def test_zero_median_distance_falls_back_to_the_mean_positive_distance(self):
+        # six equal curves give 15 of the 28 pairwise distances zero, so the
+        # median is zero and bandwidths on it would divide by zero
+        values = np.vstack([np.tile(np.sin(GRID.points), (6, 1)),
+                            np.cos(GRID.points), GRID.points])
+        sample = MarSample(FunctionalSample(GRID, values), np.arange(8.0),
+                           np.array([1, 1, 1, 0, 0, 1, 1, 0], dtype=bool))
+        d = np.sqrt(sample.x.pairwise_sq_distances())[np.triu_indices(8, k=1)]
+        assert np.count_nonzero(d == 0.0) == 15
+        model = fit_observance(sample)
+        factor = model.bandwidth / d[d > 0.0].mean()
+        assert np.isclose(BANDWIDTH_FACTORS, factor, rtol=1e-12).any()
+        assert np.all(np.isfinite(model.fitted_probabilities))
+
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=41),
            repeats=st.lists(st.integers(0, 40), max_size=20),
@@ -521,6 +537,12 @@ class TestDeterminism:
             assert _cutoffs(a) == _cutoffs(b)
             assert a.lasso_lambda == b.lasso_lambda
             np.testing.assert_array_equal(a.coefficients, b.coefficients)
+
+    def test_unknown_tag_names_the_valid_ones(self):
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        with pytest.raises(ConfigError, match="unknown method tag 'X'") as err:
+            fit_slope(sample, basis, "x")
+        assert str(METHOD_TAGS) in str(err.value)
 
     def test_method_c_requires_full_observation(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=26)

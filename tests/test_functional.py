@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import inner_product, norm, reconstruct, svd_fpc_decompose
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
-from sofreg.functional import FunctionalSample, Grid, center, fpc_decompose
+from sofreg.functional import FunctionalSample, Grid, fpc_decompose
 
 GRID = Grid.regular(0.0, 1.0, 201)
 T = GRID.points
@@ -70,26 +70,25 @@ class TestNorm:
 
 
 class TestCenter:
+    """fpc_decompose removes the mean curve: it keeps that mean, and the scores
+    of the curves it decomposed have mean zero."""
+
     def test_idempotent(self):
         rng = np.random.default_rng(1)
-        sample = FunctionalSample(GRID, rng.normal(size=(8, 201)))
-        centered, _ = center(sample)
-        again, mean2 = center(centered)
-        np.testing.assert_allclose(again.values, centered.values, atol=1e-12)
-        np.testing.assert_allclose(mean2, 0.0, atol=1e-12)
-
-    def test_single_curve(self):
-        f = np.sin(T)
-        sample = FunctionalSample(GRID, f[None, :])
-        centered, mean_curve = center(sample)
-        np.testing.assert_allclose(centered.values, 0.0, atol=1e-15)
-        np.testing.assert_allclose(mean_curve, f)
+        values = rng.normal(size=(8, 201))
+        basis = fpc_decompose(FunctionalSample(GRID, values))
+        np.testing.assert_allclose(basis.mean_curve, values.mean(axis=0), atol=1e-15)
+        np.testing.assert_allclose(basis.scores.mean(axis=0), 0.0, atol=1e-12)
+        # the centered curves decompose to a zero mean and the same scores
+        again = fpc_decompose(FunctionalSample(GRID, values - basis.mean_curve))
+        np.testing.assert_allclose(again.mean_curve, 0.0, atol=1e-12)
+        np.testing.assert_allclose(again.scores, basis.scores, atol=1e-10)
 
     def test_symmetric_pair(self):
-        sample = FunctionalSample(GRID, np.vstack([T, -T]))
-        centered, mean_curve = center(sample)
-        np.testing.assert_allclose(centered.values, sample.values, atol=1e-15)
-        np.testing.assert_allclose(mean_curve, 0.0, atol=1e-15)
+        basis = fpc_decompose(FunctionalSample(GRID, np.vstack([T, -T])))
+        np.testing.assert_allclose(basis.mean_curve, 0.0, atol=1e-15)
+        # the pair is its own centering: its scores are opposite
+        np.testing.assert_allclose(basis.scores[0], -basis.scores[1], atol=1e-15)
 
 
 class TestFpcDecompose:

@@ -12,6 +12,7 @@ from oracles import (
     mc_pcvm_statistic,
     per_replicate_bootstrap_statistics,
     per_vertex_a_matrix,
+    residuals,
 )
 from sofreg.blas import single_blas_thread
 import sofreg.estimators
@@ -29,7 +30,6 @@ from sofreg.gof import (
     build_a_matrix,
     golden_section_multipliers,
     pcvm_statistic,
-    residuals,
     wild_bootstrap_test,
 )
 

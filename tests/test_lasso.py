@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sofreg.estimators
+import sofreg.lasso
 from conftest import make_mar_dataset
 from oracles import (
     kkt_violation,
@@ -288,6 +289,14 @@ class TestLassoSelect:
         y = 2.0 * x[:, 0]
         support, _ = lasso_select(x, y, seed=0)
         assert support == (1,)
+
+    def test_y_orthogonal_to_every_column_selects_the_first_without_cv(self, monkeypatch):
+        # lambda_max is zero: no penalty is left to choose, so no path is followed
+        monkeypatch.setattr(sofreg.lasso, "_exact_path", None)
+        x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        y = np.array([1.0, 1.0, -1.0, -1.0])
+        assert not np.any(x.T @ (y - y.mean()))
+        assert lasso_select(x, y, seed=0) == ((1,), {"lambda": 0.0, "cv": None})
 
     def test_pure_noise_falls_back_to_first(self):
         rng = np.random.default_rng(6)

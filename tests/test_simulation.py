@@ -175,6 +175,8 @@ class TestDgpConfig:
             DgpConfig(beta_id=5)
         with pytest.raises(ConfigError):
             DgpConfig(beta_id=1, n=5)
+        with pytest.raises(ConfigError, match="n must be at least 10"):
+            DgpConfig(beta_id=1, n=9)
         with pytest.raises(ConfigError):
             DgpConfig(beta_id=1, eta=-1.0)
         with pytest.raises(ConfigError):
@@ -206,6 +208,14 @@ class TestDgpConfig:
         with pytest.raises(ConfigError):
             generate_dataset(DgpConfig(beta_id=1), None)
 
+    def test_fewer_than_two_observed_keeps_the_two_largest_norm_curves(self, monkeypatch):
+        monkeypatch.setattr(simulation, "gen_missing",
+                            lambda x, eta, rng: np.zeros(x.n, dtype=bool))
+        sample, full_y, _ = generate_dataset(DgpConfig(beta_id=2, eta=1.0, n=20), 4)
+        top_two = np.sort(np.argsort(sample.x.sq_norms())[-2:])
+        np.testing.assert_array_equal(sample.observed_index, top_two)
+        np.testing.assert_array_equal(sample.y_observed, full_y[top_two])
+
     def test_generate_dataset_masks_missing(self):
         sample, full_y, truth = generate_dataset(DgpConfig(beta_id=3, eta=0.5, n=40), 11)
         assert np.all(np.isnan(sample.y[~sample.r]))
@@ -225,6 +235,16 @@ class TestMcExperiment:
         cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
         with pytest.raises(ConfigError):
             mc_experiment([cfg], m=1, b=10, seed=None)
+
+    def test_refuses_zero_replicates(self):
+        with pytest.raises(ConfigError, match="m must be at least 1"):
+            mc_experiment([DgpConfig(beta_id=1, eta=1.0, n=40)], m=0, b=10, seed=1)
+
+    def test_unknown_tag_names_the_valid_ones(self):
+        with pytest.raises(ConfigError, match="unknown estimator tag 'X'") as err:
+            mc_experiment([DgpConfig(beta_id=1, eta=1.0, n=40)], m=1, b=10,
+                          estimators=("S", "x"), seed=1)
+        assert str(METHOD_TAGS) in str(err.value)
 
     @pytest.mark.parametrize("configs, estimators", [
         ([], ("S",)),
