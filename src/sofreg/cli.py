@@ -6,8 +6,9 @@ body and differ only in the step that makes their report. The `mc` settings
 live in one table, `MC_SETTINGS`, from which come the flags, the config-file
 keys, the flag-over-file resolution and the manifest's `config`. The
 library checks every value once, so a flag and a file line that give the
-same value fail alike (exit code 3). Report formats live in `dataio`; this
-module only orchestrates.
+same value fail alike (exit code 3), as does a file that cannot be read or
+written. Report and manifest formats live in `dataio`; this module only
+orchestrates.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 from . import __version__
 from .blas import single_blas_thread
 from .dataio import (
+    _numbered_lines,
     atomic_write_text,
-    build_manifest,
     cell_stem,
     dump_json,
     gof_report,
@@ -38,6 +39,7 @@ from .dataio import (
     slope_report,
     truth_report,
     write_curves_csv,
+    write_manifest,
     write_responses_csv,
 )
 from .estimators import METHOD_TAGS, MarSample, fit_slope
@@ -58,8 +60,6 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-THREADS_ENV = "SOFREG_THREADS"
-
 #: Scaled harness profile (full scale via --full-scale).
 SCALED_M, SCALED_B = 200, 500
 FULL_M, FULL_B = 1000, 1000
@@ -68,16 +68,7 @@ _DGP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DgpConfig)}
 
 
 def _default_threads() -> int:
-    """SOFREG_THREADS, else the cores this process may run on."""
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1, got {env!r}")
-        return threads
+    """The cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
@@ -126,25 +117,30 @@ def _read_mc_config(path: str) -> dict:
     """Key = value lines; comma-separated lists; '#' comments."""
     settings = {s.name: s for s in MC_SETTINGS}
     result: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            setting = settings.get(key)
-            if setting is None:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            tokens = [t.strip() for t in value.split(",") if t.strip()] if setting.many else [value]
-            if not tokens:
-                raise ConfigError(f"{path}:{lineno}: {key} needs at least one value")
-            try:
-                values = [setting.convert(t) for t in tokens]
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
-            result[key] = values if setting.many else values[0]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        lines = _numbered_lines(raw)
+    except CsvFormatError as exc:
+        raise ConfigError(f"{path}:{exc.line}: {exc.message}") from None
+    for lineno, text in lines:
+        line = text.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        setting = settings.get(key)
+        if setting is None:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        tokens = [t.strip() for t in value.split(",") if t.strip()] if setting.many else [value]
+        if not tokens:
+            raise ConfigError(f"{path}:{lineno}: {key} needs at least one value")
+        try:
+            values = [setting.convert(t) for t in tokens]
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
+        result[key] = values if setting.many else values[0]
     return result
 
 
@@ -153,25 +149,17 @@ def _args_config(args) -> dict:
     return {key: value for key, value in vars(args).items() if key != "func"}
 
 
-def _write_manifest(args, config: dict, seed, inputs: dict, outputs: list,
-                    started: float, **extra) -> None:
-    manifest = build_manifest(args.command, config | {"version": __version__}, seed,
-                              inputs, outputs, time.time() - started)
-    manifest.update(extra)
-    dump_json(os.path.join(args.out, "manifest.json"), manifest)
-
-
 def cmd_simulate(args) -> int:
     started = time.time()
     config = DgpConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(DgpConfig)})
-    sample, _, truth = generate_dataset(config, args.seed)
+    sample, _, beta = generate_dataset(config, args.seed)
     outputs = [os.path.join(args.out, name)
                for name in ("curves.csv", "responses.csv", "truth.json")]
-    os.makedirs(args.out, exist_ok=True)
     write_curves_csv(outputs[0], sample.x)
     write_responses_csv(outputs[1], sample.y, sample.r)
-    dump_json(outputs[2], truth_report(truth, args.seed))
-    _write_manifest(args, _args_config(args), args.seed, {}, outputs, started)
+    dump_json(outputs[2], truth_report(config, beta, args.seed))
+    write_manifest(args.out, args.command, _args_config(args), args.seed, {}, outputs,
+                   time.time() - started)
     print(f"wrote {len(outputs)} files to {args.out}")
     return EXIT_OK
 
@@ -189,7 +177,7 @@ def _fit_step(args, sample, basis):
 
 def _test_step(args, sample, basis):
     result = wild_bootstrap_test(sample, basis, args.method, b=args.bootstrap, seed=args.seed)
-    tag = result.method_tag
+    tag = result.slope.method_tag
     svg = density_plot(
         result.bootstrap_statistics, result.statistic,
         f"Bootstrap statistics, method {tag} (p = {result.p_value:.3f})",
@@ -208,16 +196,15 @@ def cmd_on_sample(step, args) -> int:
     sample = MarSample(read_curves_csv(args.curves), *read_responses_csv(args.responses))
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
     stem, payload, svg, summary = step(args, sample, basis)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, f"{stem}.json")
     dump_json(report_path, payload)
     outputs = [report_path]
     if svg is not None:
         outputs.append(os.path.join(args.out, f"{stem}.svg"))
         atomic_write_text(outputs[-1], svg)
-    _write_manifest(args, _args_config(args), args.seed,
-                    {"curves": args.curves, "responses": args.responses},
-                    outputs, started)
+    write_manifest(args.out, args.command, _args_config(args), args.seed,
+                   {"curves": args.curves, "responses": args.responses}, outputs,
+                   time.time() - started)
     print(f"{summary} -> {report_path}")
     return EXIT_OK
 
@@ -239,7 +226,6 @@ def cmd_mc(args) -> int:
         estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
     )
 
-    os.makedirs(args.out, exist_ok=True)
     outputs = []
     for name, text in rejection_tables(report):
         outputs.append(os.path.join(args.out, name))
@@ -255,8 +241,9 @@ def cmd_mc(args) -> int:
                 atomic_write_text(outputs[-1], grouped_boxplot(
                     data, f"log {quantity.upper()} by estimator, {stem}",
                 ))
-    _write_manifest(args, settings, seed, {"config": args.config} if args.config else {},
-                    outputs, started, timing=mc_timing(report))
+    write_manifest(args.out, args.command, settings, seed,
+                   {"config": args.config} if args.config else {}, outputs,
+                   time.time() - started, timing=mc_timing(report))
 
     if report.reruns:
         print(f"warning: a worker died; {report.reruns} replicates were rerun serially",
@@ -334,7 +321,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, SofregError) as exc:
+    except (ValueError, SofregError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

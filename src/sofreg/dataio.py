@@ -5,7 +5,8 @@ curve; UTF-8, '.' decimal, ',' separator. Response CSV: header ``y,observed``
 with the response empty or ``NA`` when observed is 0. Reports (`truth_report`,
 `slope_report`, `gof_report`, `mc_report`) are JSON with sorted keys and NaN
 as null, so equal seeds yield byte-identical files; wall time lives in the
-manifest only, never in a report.
+manifest (`write_manifest`) only, never in a report. Every file is written
+by `atomic_write_text`, which creates its directory.
 """
 
 from __future__ import annotations
@@ -175,9 +176,11 @@ def _null_if_nan(value):
     return value if np.isfinite(value) else None
 
 
-def truth_report(truth: dict, seed: int) -> dict:
-    """The true slope and settings a simulated dataset was drawn with."""
-    return truth | {"beta": [float(v) for v in truth["beta"]], "seed": seed}
+def truth_report(config: DgpConfig, beta: np.ndarray, seed: int) -> dict:
+    """The true slope `beta` and the settings of `config` a simulated dataset
+    was drawn with at `seed`."""
+    return {"beta_id": config.beta_id, "beta": [float(v) for v in beta], "delta": config.delta,
+            "eta": config.eta, "sigma_eps": config.sigma_eps, "seed": seed}
 
 
 def _cutoffs(slope: FunctionalSlope) -> dict:
@@ -218,11 +221,11 @@ def slope_report(slope: FunctionalSlope, sample: MarSample) -> dict:
 def gof_report(result: GofResult) -> dict:
     """Deterministic JSON payload for a test run (timing goes to the manifest)."""
     return {
-        "method": result.method_tag,
+        "method": result.slope.method_tag,
         "statistic": float(result.statistic),
         "p_value": float(result.p_value),
         "bootstrap_count": int(result.b),
-        "indices": list(result.indices),
+        "indices": list(result.slope.indices),
         "seed": int(result.seed),
         "n_observed": int(result.n_obs),
         "bootstrap_statistics": [float(v) for v in result.bootstrap_statistics],
@@ -301,20 +304,18 @@ def mc_timing(report: McReport) -> list[dict]:
             for c in report.cells]
 
 
-def build_manifest(
-    command: str,
-    config: dict,
-    seed: int | None,
-    inputs: dict[str, str],
-    outputs: list[str],
-    wall_time_s: float,
-) -> dict:
-    return {
+def write_manifest(out: str, command: str, config: dict, seed: int | None,
+                   inputs: dict[str, str], outputs: list[str], wall_time_s: float,
+                   **extra) -> None:
+    """Write `out`/manifest.json: the command, its resolved configuration and
+    seed, the library version, the SHA-256 of each input, the names of its
+    outputs, its wall time and any `extra` entries (the mc timing)."""
+    dump_json(os.path.join(out, "manifest.json"), {
         "command": command,
-        "config": config,
+        "config": config | {"version": _version},
         "seed": seed,
         "version": _version,
         "inputs": {name: file_digest(p) for name, p in inputs.items()},
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_time_s": wall_time_s,
-    }
+    } | extra)

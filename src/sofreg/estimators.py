@@ -337,7 +337,8 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
     The kernel is exp(-u^2/2) on curve distances; candidate bandwidths are
     the module's BANDWIDTH_FACTORS times the median pairwise distance, scored
     by leave-one-out squared error on the observance indicators. The fitted
-    probabilities (self term included) are clamped to [EPS_P, 1].
+    probabilities (self term included) come from the kernel sums the winning
+    bandwidth's CV score computed, and are clamped to [EPS_P, 1].
     """
     d = np.sqrt(sample.x.pairwise_sq_distances())
     n = sample.n
@@ -356,17 +357,15 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
         h = float(factor) * med
         with np.errstate(under="ignore"):
             kernel = np.exp(-0.5 * (d / h) ** 2)
-        numer = kernel @ r - r  # drop the self term (K(0) = 1)
-        denom = kernel.sum(axis=1) - 1.0
+        weighted, total = kernel @ r, kernel.sum(axis=1)
+        numer = weighted - r  # drop the self term (K(0) = 1)
+        denom = total - 1.0
         loo = np.where(denom > 0.0, numer / np.maximum(denom, 1e-300), rbar)
         err = float(np.sum((r - loo) ** 2))
         if best is None or err < best[0]:
-            best = (err, h)
-    h = best[1]
-    with np.errstate(under="ignore"):
-        kernel = np.exp(-0.5 * (d / h) ** 2)
-    fitted = (kernel @ r) / kernel.sum(axis=1)
-    fitted = np.clip(fitted, EPS_P, 1.0)
+            best = (err, h, weighted, total)
+    _, h, weighted, total = best
+    fitted = np.clip(weighted / total, EPS_P, 1.0)
     fitted.setflags(write=False)
     return ObservanceModel(bandwidth=h, fitted_probabilities=fitted)
 

@@ -22,8 +22,9 @@ class NumericalError(SofregError):
 
 
 class CsvFormatError(SofregError):
-    """Malformed input file; carries the offending 1-based line number."""
+    """Malformed input file; carries the offending 1-based line number and
+    the message without it."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+        self.line, self.message = line, message

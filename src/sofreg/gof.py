@@ -61,13 +61,13 @@ class AMatrix:
 
 @dataclass(frozen=True)
 class GofResult:
-    """Observed statistic, bootstrap replicates, and the resulting p-value."""
+    """Observed statistic, bootstrap replicates, and the resulting p-value of
+    the test of `slope`, the fit whose tag and selection were tested."""
 
     statistic: float
     bootstrap_statistics: np.ndarray
     p_value: float
-    method_tag: str
-    indices: tuple[int, ...]
+    slope: FunctionalSlope
     seed: int
     n_obs: int
 
@@ -337,7 +337,6 @@ def wild_bootstrap_test(
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")
     slope = fit_slope(sample, basis, method_tag, seed=seed)
-    method_tag = slope.method_tag
 
     ytilde = sample.y_observed - sample.observed_mean
     score_rows = _observed_score_rows(sample, slope)
@@ -362,7 +361,7 @@ def wild_bootstrap_test(
         q1 = 2.0 * eps * m_mu
         c0 = float(mu @ m_mu)
         if not (math.isfinite(c0) and np.all(np.isfinite(q1)) and np.all(np.isfinite(q))):
-            raise NumericalError(f"non-finite bootstrap operator for method {method_tag}")
+            raise NumericalError(f"non-finite bootstrap operator for method {slope.method_tag}")
 
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
         v = golden_section_multipliers((b, n_s), rng)
@@ -377,8 +376,7 @@ def wild_bootstrap_test(
         statistic=observed_stat,
         bootstrap_statistics=stats,
         p_value=p_value,
-        method_tag=method_tag,
-        indices=slope.indices,
+        slope=slope,
         seed=seed,
         n_obs=n_s,
     )

@@ -162,12 +162,13 @@ class DgpConfig:
 
 
 def generate_dataset(config: DgpConfig, seed):
-    """Draw one dataset; returns (MarSample with masked y, full y, truth dict).
+    """Draw one dataset; returns (MarSample with masked y, full y, true slope).
 
     `seed` is anything `np.random.default_rng` takes except None, so every
     dataset is reproducible. The MarSample's unobserved responses are NaN;
     `full_y` keeps the values before masking so complete-data benchmarks and
-    oracle checks can use them.
+    oracle checks can use them. The true slope is beta_j of `config` on its
+    grid; the other settings it was drawn with are those of `config`.
     """
     if seed is None:
         raise ConfigError("a seed is required to generate data")
@@ -183,14 +184,7 @@ def generate_dataset(config: DgpConfig, seed):
         r = r.copy()
         r[np.argsort(x.sq_norms())[-2:]] = True
     masked = np.where(r, full_y, np.nan)
-    truth = {
-        "beta_id": config.beta_id,
-        "beta": beta_curve(config.beta_id, grid),
-        "delta": config.delta,
-        "eta": config.eta,
-        "sigma_eps": config.sigma_eps,
-    }
-    return MarSample(x, masked, r), full_y, truth
+    return MarSample(x, masked, r), full_y, beta_curve(config.beta_id, grid)
 
 
 @dataclass
@@ -244,7 +238,7 @@ def _run_replicate(args):
     rng = np.random.default_rng(seed_seq)
     missing_fraction = np.nan
     try:
-        sample, full_y, truth = generate_dataset(config, rng)
+        sample, full_y, beta = generate_dataset(config, rng)
         missing_fraction = 1.0 - sample.n_obs / sample.n
         tag_seeds = {t: int(rng.integers(2**63 - 1)) for t in METHOD_TAGS}
         basis = fpc_decompose(sample.x)
@@ -271,7 +265,7 @@ def _run_replicate(args):
             if tag in ("W", "WL"):
                 # standalone IPW fits pay for the observance estimate
                 fit_s += nw_seconds
-            msee = mse_estimation(truth["beta"], slope)
+            msee = mse_estimation(beta, slope)
             p = np.nan
             if b >= 1:
                 p = wild_bootstrap_test(target, basis, tag, b=b, seed=tag_seeds[tag]).p_value

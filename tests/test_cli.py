@@ -11,7 +11,6 @@ from sofreg import blas, cli, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.estimators import MarSample, observed_pairs_basis
-from sofreg.exceptions import ConfigError
 
 
 def run(argv):
@@ -99,6 +98,12 @@ class TestSimulate:
         assert run(["simulate", "--beta-id", 4, "--seed", 1, "--out", out]) == 3
         assert "beta_id must be 1, 2, or 3" in capsys.readouterr().err
         assert not out.exists()
+
+
+def assert_one_error_line_naming(err, path):
+    """`err` is one ``error:`` line, with no traceback, that names `path`."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err and "Traceback" not in err
 
 
 def fit_argv(curves, responses, out, method="S", *extra):
@@ -217,6 +222,23 @@ class TestFit:
         code = run(fit_argv(files["curves.csv"], files["responses.csv"], tmp_path / "o"))
         assert code == 2
         assert "error: line 3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["curves.csv", "responses.csv"])
+    def test_a_missing_input_file_is_config_error(self, mar_dataset, tmp_path, capsys, name):
+        files = {n: mar_dataset / n for n in ("curves.csv", "responses.csv")}
+        files[name] = tmp_path / "missing" / name
+        code = run(fit_argv(files["curves.csv"], files["responses.csv"], tmp_path / "o"))
+        assert code == 3
+        assert_one_error_line_naming(capsys.readouterr().err, files[name])
+
+    def test_an_out_directory_that_cannot_be_made_is_config_error(self, mar_dataset, tmp_path,
+                                                                  capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = run(fit_argv(mar_dataset / "curves.csv", mar_dataset / "responses.csv",
+                            blocker / "out"))
+        assert code == 3
+        assert_one_error_line_naming(capsys.readouterr().err, blocker)
 
     @pytest.mark.parametrize("cutoff", [0, 1.5])
     def test_kmax_var_cutoff_outside_the_unit_interval_is_config_error(
@@ -363,36 +385,14 @@ class TestParser:
 
 class TestDefaultThreads:
     def test_counts_usable_cores(self, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert cli._default_threads() == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert cli._default_threads() == 3
-
-    def test_environment_takes_precedence(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "5")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert cli._default_threads() == 5
-
-    def test_malformed_environment_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "abc")
-        with pytest.raises(ConfigError, match=cli.THREADS_ENV):
-            cli._default_threads()
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_environment_names_the_variable(self, monkeypatch, tmp_path, value):
-        monkeypatch.setenv(cli.THREADS_ENV, value)
-        with pytest.raises(ConfigError, match=f"{cli.THREADS_ENV} must be at least 1"):
-            cli._default_threads()
-        out = tmp_path / "mc"
-        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
-                    "--bootstrap", 10, "--seed", 9, "--estimators", "S", "--out", out]) == 3
-        assert not (out / "report.json").exists()
 
 
 class TestTest:
@@ -463,14 +463,6 @@ class TestMc:
                     "--bootstrap", bootstrap, "--alpha", alpha, "--seed", 9,
                     "--threads", 1, "--estimators", "S", "--out", out]) == 3
         assert not (out / "report.json").exists()
-
-    def test_threads_flag_overrides_a_malformed_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "abc")
-        out = tmp_path / "mc"
-        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 40, "--m", 1,
-                    "--bootstrap", 10, "--seed", 9, "--threads", 1,
-                    "--estimators", "S", "--out", out]) == 0
-        assert (out / "report.json").exists()
 
     def test_rejects_nonpositive_threads(self, tmp_path, capsys):
         out = tmp_path / "mc"
@@ -609,6 +601,20 @@ class TestMc:
         cfg.write_text("# slope\nbeta_id = 1.5\nseed = 4\n")
         assert run(["mc", "--config", cfg, "--out", tmp_path / "mc"]) == 3
         assert f"{cfg}:2: invalid beta_id value '1.5'" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_utf8_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_bytes(b"# cells\nn = 3\xff0\nseed = 4\n")
+        out = tmp_path / "mc"
+        assert run(["mc", "--config", cfg, "--out", out]) == 3
+        assert (capsys.readouterr().err
+                == f"error: {cfg}:2: not UTF-8 text (invalid start byte)\n")
+        assert not out.exists()
+
+    def test_a_missing_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.cfg"
+        assert run(["mc", "--config", cfg, "--out", tmp_path / "mc"]) == 3
+        assert_one_error_line_naming(capsys.readouterr().err, cfg)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the replacement replicate reaches workers only by fork")

@@ -336,6 +336,45 @@ class TestBootstrapOracle:
         np.testing.assert_allclose(result.bootstrap_statistics, reference, rtol=1e-12, atol=0)
 
 
+class TestBootstrapMoments:
+    """Replicate b is (c0 + v_b q1 + v_b Q v_b') / n_obs^2 in golden-section
+    multipliers, which have E v = 0, E v^2 = 1, E v^3 = 1 and E v^4 = 2
+    (Mammen 1993), so E[n_obs^2 T*] = c0 + tr Q and
+    Var[n_obs^2 T*] = sum_i (q1_i + Q_ii)^2 + 2 sum_{i != j} Q_ij^2."""
+
+    #: Monte Carlo standard errors within which the moments of B replicates
+    #: must fall.
+    STANDARD_ERRORS = 4
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_replicates_have_the_closed_form_mean_and_variance(self, tag):
+        # with 11 of 30 responses missing, the completions of I and W give q1
+        # a large share of the variance, so replicates without v q1 fail
+        # their check; for C and S q1 is round-off, as their refit
+        # reproduces its own fitted values
+        eta = None if tag in ("C", "CL") else 0.5
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=3, eta=eta, delta=0.03, seed=40)
+        b, seed = 20_000, 7
+        stats = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed).bootstrap_statistics
+        slope = fit_slope(sample, basis, tag, seed=seed)
+        rows = _observed_score_rows(sample, slope)
+        a = build_a_matrix(rows[:, np.asarray(slope.indices) - 1]).values
+        refit = _refit_residuals(sample, slope, np.eye(sample.n_obs))
+        m = refit @ a @ refit.T
+        mu, eps = slope.predict_centered(rows), residuals(sample, slope)
+        q = eps[:, None] * m * eps[None, :]
+        q1 = 2.0 * eps * (m @ mu)
+        scale = float(sample.n_obs) ** 2
+        mean = (mu @ m @ mu + np.trace(q)) / scale
+        off_diagonal = q - np.diag(np.diag(q))
+        variance = (np.sum((q1 + np.diag(q)) ** 2) + 2.0 * np.sum(off_diagonal**2)) / scale**2
+        centred = stats - stats.mean()
+        mean_se = np.sqrt(variance / b)
+        variance_se = np.sqrt((np.mean(centred**4) - np.mean(centred**2) ** 2) / b)
+        assert abs(stats.mean() - mean) <= self.STANDARD_ERRORS * mean_se
+        assert abs(stats.var() - variance) <= self.STANDARD_ERRORS * variance_se
+
+
 class TestWildBootstrap:
     def test_degenerate_noiseless_data(self):
         sample, basis = make_score_linear_sample({1: 1.5}, n=40, seed=13)
@@ -343,6 +382,26 @@ class TestWildBootstrap:
         assert result.statistic == 0.0
         assert np.all(result.bootstrap_statistics == 0.0)
         assert result.p_value == 1.0
+
+    @pytest.mark.parametrize("relative, tested", [(1e-8, True), (1e-12, False)])
+    def test_residuals_count_as_round_off_below_1e_10_of_the_response_spread(
+            self, relative, tested):
+        # score-linear responses plus noise of `relative` times their spread:
+        # residuals near 1e-8 of it are tested, near 1e-12 of it are not
+        coeffs = {1: 1.5, 2: -0.8}
+        clean, basis = make_score_linear_sample(coeffs, n=40, seed=13)
+        spread = float(np.max(np.abs(clean.y_observed - clean.observed_mean)))
+        sample, _ = make_score_linear_sample(coeffs, n=40, seed=13, sigma=relative * spread)
+        eps = residuals(sample, fit_slope(sample, basis, "S"))
+        assert relative / 10 <= np.max(np.abs(eps)) / spread <= 10 * relative
+        result = wild_bootstrap_test(sample, basis, "S", b=200, seed=0)
+        if tested:
+            assert result.statistic > 0.0
+            assert np.any(result.bootstrap_statistics > 0.0)
+        else:
+            assert result.statistic == 0.0
+            assert np.all(result.bootstrap_statistics == 0.0)
+            assert result.p_value == 1.0
 
     def test_responses_in_small_units_are_still_tested(self):
         # a power of two rescales every residual and statistic exactly, so
@@ -521,13 +580,13 @@ class TestWildBootstrap:
         built = len(a_blocks)
         result = wild_bootstrap_test(other, fpc_decompose(other.x), "S", b=20, seed=2)
         assert len(a_blocks) == built + 1
-        assert a_blocks[-1][0] == (other.n_obs, len(result.indices))
+        assert a_blocks[-1][0] == (other.n_obs, len(result.slope.indices))
 
     def test_all_methods_run_on_mar_sample(self):
         sample, basis, _ = make_mar_dataset(n=50, beta_id=2, eta=1.0, seed=17)
         for tag in ("S", "SL", "I", "IL", "W", "WL"):
             result = wild_bootstrap_test(sample, basis, tag, b=60, seed=3)
-            assert result.method_tag == tag
+            assert result.slope.method_tag == tag
             assert result.n_obs == sample.n_obs
             assert np.all(result.bootstrap_statistics >= 0.0)
 

@@ -217,10 +217,11 @@ class TestDgpConfig:
         np.testing.assert_array_equal(sample.y_observed, full_y[top_two])
 
     def test_generate_dataset_masks_missing(self):
-        sample, full_y, truth = generate_dataset(DgpConfig(beta_id=3, eta=0.5, n=40), 11)
+        config = DgpConfig(beta_id=3, eta=0.5, n=40)
+        sample, full_y, beta = generate_dataset(config, 11)
         assert np.all(np.isnan(sample.y[~sample.r]))
         np.testing.assert_array_equal(sample.y[sample.r], full_y[sample.r])
-        assert truth["beta"].shape == (201,)
+        np.testing.assert_array_equal(beta, beta_curve(3, config.grid))
 
 
 class TestMcExperiment:
