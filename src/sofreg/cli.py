@@ -221,10 +221,20 @@ def cmd_mc(args) -> int:
         for bid in settings["beta_id"] for e in settings["eta"]
         for n in settings["n"] for d in settings["delta"]
     ]
-    report = mc_experiment(
-        configs, m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
-        estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
-    )
+    # atomic_write_text makes --out too, but only after the study, which may
+    # run for hours: make it first, so that one that cannot be made fails
+    # before the study. Settings that mc_experiment refuses remove it again.
+    made = not os.path.isdir(args.out)
+    os.makedirs(args.out, exist_ok=True)
+    try:
+        report = mc_experiment(
+            configs, m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
+            estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
+        )
+    except SofregError:
+        if made:
+            os.rmdir(args.out)
+        raise
 
     outputs = []
     for name, text in rejection_tables(report):

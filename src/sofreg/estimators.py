@@ -25,7 +25,10 @@ they are not kept.
 
 One completion rule, `_completed_responses`, serves the second stage of a
 fit, the joint leave-one-out CV that selects its two cutoffs, and the refits
-of the wild bootstrap.
+of the wild bootstrap. Those refits live here too, beside the plug-in fit
+they reuse: `FunctionalSlope.refit_residuals` refits a slope at its frozen
+structure, and `FunctionalSlope.observed_scores` gives the score rows of the
+observed pairs in the slope's own basis; `gof` builds its test on them.
 
 Coefficients come from ordinary least squares with an unpenalized intercept.
 Every design is a basis's own score rows, whose columns have zero mean, are
@@ -66,17 +69,43 @@ METHOD_TAGS = ("C", "CL", "S", "SL", "I", "IL", "W", "WL")
 CV_TIE_RTOL = 1e-12
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative integer seed, which `np.random.default_rng` rejects.
+
+    `fit_slope` (and through it `wild_bootstrap_test`), `generate_dataset`
+    and `mc_experiment` check their seed here before any work, so a seed is
+    refused alike whether or not a LASSO or a bootstrap would read it.
+    Anything else `default_rng` takes (a sequence, a Generator) passes.
+    """
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """`array`, made read-only in place."""
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True)
 class MarSample:
     """Curves, responses, and observance indicators (X_i, Y_i, R_i).
 
     `y` entries are meaningful only where `r` is True; unobserved entries
-    may be NaN.
+    may be NaN. The observed view is derived once, on construction: the
+    indices of the observed pairs, their count, their responses, the mean of
+    those and the responses centered by it, `y_centered`, on which every fit
+    works. Like `y` and `r`, its arrays are read-only.
     """
 
     x: FunctionalSample
     y: np.ndarray
     r: np.ndarray
+    observed_index: np.ndarray = field(init=False, repr=False, compare=False)
+    n_obs: int = field(init=False, repr=False, compare=False)
+    y_observed: np.ndarray = field(init=False, repr=False, compare=False)
+    observed_mean: float = field(init=False, repr=False, compare=False)
+    y_centered: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -85,34 +114,22 @@ class MarSample:
         if y.shape != (self.x.n,) or r.shape != (self.x.n,):
             raise GridMismatchError(f"row count mismatch: {self.x.n} curves but {y.size} "
                                     f"responses and {r.size} observance indicators")
-        if int(r.sum()) < 2:
+        observed_index, y_observed = np.flatnonzero(r), y[r]
+        if observed_index.size < 2:
             raise ValueError("need at least 2 observed responses")
-        if not np.all(np.isfinite(y[r])):
+        if not np.all(np.isfinite(y_observed)):
             raise ValueError("observed responses must be finite")
-        y.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "r", r)
+        observed_mean = float(y_observed.mean())
+        for name, value in (("y", y), ("r", r), ("observed_index", observed_index),
+                            ("y_observed", y_observed),
+                            ("y_centered", y_observed - observed_mean)):
+            object.__setattr__(self, name, _read_only(value))
+        object.__setattr__(self, "n_obs", observed_index.size)
+        object.__setattr__(self, "observed_mean", observed_mean)
 
     @property
     def n(self) -> int:
         return self.x.n
-
-    @property
-    def observed_index(self) -> np.ndarray:
-        return np.flatnonzero(self.r)
-
-    @property
-    def n_obs(self) -> int:
-        return int(self.r.sum())
-
-    @property
-    def y_observed(self) -> np.ndarray:
-        return self.y[self.r]
-
-    @property
-    def observed_mean(self) -> float:
-        return float(self.y_observed.mean())
 
     def _derived(self, key, compute):
         """`compute()`, run once per `key` for this sample and then kept.
@@ -159,11 +176,12 @@ class FunctionalSlope:
     intercept on that centered scale, the mean of the responses it fitted.
     Two-stage fits keep their first-stage fit in `first_stage` (None for
     one-stage fits), and IPW fits their completion weights in `ipw_weights`,
-    so the bootstrap can refit the whole pipeline. The selection is held in
-    `indices` alone (a CV cutoff K selects columns 1..K); one-stage CV fits
-    (C, S) also keep their leave-one-out CV errors per K in `cv_errors`, and
-    LASSO fits the penalty of their support in `lasso_lambda`. Every field
-    is immutable, arrays included, so a fit kept on a sample cannot change.
+    so that `refit_residuals` can refit the whole pipeline for the
+    bootstrap. The selection is held in `indices` alone (a CV cutoff K
+    selects columns 1..K); one-stage CV fits (C, S) also keep their
+    leave-one-out CV errors per K in `cv_errors`, and LASSO fits the penalty
+    of their support in `lasso_lambda`. Every field is immutable, arrays
+    included, so a fit kept on a sample cannot change.
     """
 
     method_tag: str
@@ -191,6 +209,37 @@ class FunctionalSlope:
     def predict_sample(self, x: FunctionalSample) -> np.ndarray:
         """Raw-scale predictions for arbitrary curves via basis projection."""
         return self.response_center + self.predict_centered(project_scores(self.basis, x.values))
+
+    def observed_scores(self, sample: MarSample) -> np.ndarray:
+        """Score rows, in this fit's basis, of the observed pairs of `sample`.
+
+        `sample` is the sample the slope was fitted on. A one-stage fit lives
+        in the observed-pairs basis, whose rows are those pairs; a two-stage
+        fit lives in the basis of all n curves.
+        """
+        if self.first_stage is None:
+            return self.basis.scores
+        return self.basis.scores[sample.observed_index]
+
+    def refit_residuals(self, sample: MarSample, ystar: np.ndarray) -> np.ndarray:
+        """Residuals of refits at this fit's frozen structure, one per row of `ystar`.
+
+        `ystar` is a (B, n_obs) stack of centered responses over the observed
+        pairs of `sample`, the sample this slope was fitted on. Every refit is
+        the plug-in least squares fit on the frozen score columns of the
+        basis its stage was fitted in. A one-stage fit refits over the
+        observed pairs; a two-stage fit first completes all n responses from
+        its refitted first stage by `_completed_responses` (with the frozen
+        IPW weights, if any) and refits the second stage over all rows. The
+        map is linear, so the identity stack gives its matrix R: the
+        residuals of any stack Y are Y @ R.
+        """
+        cols = np.asarray(self.indices, dtype=int) - 1
+        first = self.first_stage
+        target = ystar if first is None else _completed_responses(
+            sample, first.basis, first.indices, ystar, self.ipw_weights)
+        alpha, coef = _plugin_fit(self.basis.scores[:, cols], self.basis.eigenvalues[cols], target)
+        return ystar - alpha[:, None] - coef @ self.observed_scores(sample)[:, cols].T
 
 
 @dataclass(frozen=True)
@@ -270,7 +319,7 @@ def _joint_cv_table(sample: MarSample, basis: FpcBasis,
     (w pred + (1 - w) pred = pred). Cumulative sums over K_second give each
     row's prediction of its own masked response.
     """
-    ytilde = sample.y_observed - sample.observed_mean
+    ytilde = sample.y_centered
     ob = _first_stage_basis(sample, basis)
     k1_eff = _first_stage_limit(ob, sample)
     k2_eff = min(basis.k_max, sample.n_obs - 1)
@@ -299,8 +348,7 @@ def joint_loocv_cutoffs(sample: MarSample, basis: FpcBasis,
     _check_basis(sample, basis)
     errors = _joint_cv_table(sample, basis, ipw_weights)
     # ties prefer small K_second, then K_first
-    ytilde = sample.y_observed - sample.observed_mean
-    k2, k1 = divmod(_first_cv_minimum(errors.T.ravel(), ytilde), errors.shape[0])
+    k2, k1 = divmod(_first_cv_minimum(errors.T.ravel(), sample.y_centered), errors.shape[0])
     return k1 + 1, k2 + 1
 
 
@@ -313,9 +361,7 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     asymptotic target. Entries at unobserved rows are zero.
     """
     inv_p = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
-    weights = inv_p / inv_p[sample.r].mean()
-    weights.setflags(write=False)
-    return weights
+    return _read_only(inv_p / inv_p[sample.r].mean())
 
 
 def _median(values: np.ndarray) -> float:
@@ -365,9 +411,8 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
         if best is None or err < best[0]:
             best = (err, h, weighted, total)
     _, h, weighted, total = best
-    fitted = np.clip(weighted / total, EPS_P, 1.0)
-    fitted.setflags(write=False)
-    return ObservanceModel(bandwidth=h, fitted_probabilities=fitted)
+    return ObservanceModel(bandwidth=h,
+                           fitted_probabilities=_read_only(np.clip(weighted / total, EPS_P, 1.0)))
 
 
 def _sample_observance(sample: MarSample) -> ObservanceModel:
@@ -380,15 +425,12 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
     """OLS fit, with an intercept, of y on the `indices` score columns of `basis`."""
     cols = np.asarray(indices, dtype=int) - 1
     alpha, coef = _plugin_fit(basis.scores[:, cols], basis.eigenvalues[cols], y)
-    curve = coef @ basis.eigenfunctions[cols]
-    coef.setflags(write=False)
-    curve.setflags(write=False)
     return FunctionalSlope(
         method_tag=tag,
         indices=tuple(int(i) for i in indices),
-        coefficients=coef,
+        coefficients=_read_only(coef),
         basis=basis,
-        curve=curve,
+        curve=_read_only(coef @ basis.eigenfunctions[cols]),
         response_center=float(response_center),
         alpha=float(alpha),
         **fields,
@@ -418,9 +460,7 @@ def _completed_responses(sample: MarSample, basis: FpcBasis, indices, y_obs: np.
     else:
         w = ipw_weights[obs]
         completed[..., obs] = w * y_obs + (1.0 - w) * (alpha + coef @ s_obs.T)
-    miss = np.flatnonzero(~sample.r)
-    if miss.size:
-        completed[..., miss] = alpha + coef @ _missing_scores(sample, basis)[:, cols].T
+    completed[..., ~sample.r] = alpha + coef @ _missing_scores(sample, basis)[:, cols].T
     return completed
 
 
@@ -429,11 +469,13 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
 
     `basis` is the FPC basis of all n curves; the first stage runs in the
     basis of the observed curves at `basis.var_cutoff`. `seed` sets the
-    LASSO cross-validation folds. The CV-selected fits (C, S, I, W) read no
-    seed, so the sample and the basis determine them: each is computed once
-    per sample and basis, kept on the sample with read-only arrays, and
-    returned as the same object on every later call.
+    LASSO cross-validation folds; a negative one is refused for every tag.
+    The CV-selected fits (C, S, I, W) read no seed, so the sample and the
+    basis determine them: each is computed once per sample and basis, kept
+    on the sample with read-only arrays, and returned as the same object on
+    every later call.
     """
+    _check_seed(seed)
     tag = method.upper()
     if tag not in METHOD_TAGS:
         raise ConfigError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
@@ -450,8 +492,7 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
     completion, lasso = tag[0], tag.endswith("L")
     ob = _first_stage_basis(sample, basis)
     two_stage = completion in ("I", "W")
-    ybar = sample.observed_mean
-    ytilde = sample.y_observed - ybar
+    ybar, ytilde = sample.observed_mean, sample.y_centered
     ipw_weights = None
     if completion == "W":
         ipw_weights = _normalized_inverse_probabilities(sample, _sample_observance(sample))
@@ -471,8 +512,7 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
     else:
         k_eff = _first_stage_limit(ob, sample)
         loo_resid = _loo_residuals(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)
-        errors = np.sum(loo_resid**2, axis=0)
-        errors.setflags(write=False)
+        errors = _read_only(np.sum(loo_resid**2, axis=0))
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar, cv_errors=errors)
     if not two_stage:

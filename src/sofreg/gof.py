@@ -10,15 +10,20 @@ enter as one point weighted by their count. The points are visited as
 vertices in blocks: one batched matmul and one arccos give the angles of
 every triangle at a block's vertices, and each block holds as many vertices
 as keep that angle tensor within a fixed entry budget, _BLOCK_ENTRIES, so
-its working set stays in cache. Calibration resamples residuals
-with golden-section multipliers and refits the slope coefficients with every
-selected structure (index sets, cutoffs, observance probabilities, and A
-itself) frozen at the original fit. A two-stage refit completes the
-responses by the estimators' own completion rule. At frozen structure the
-refit residuals are linear in the bootstrap responses, res = y* R, and
-y* = mu + v * eps, so each replicate statistic is a quadratic form in its
-multipliers v: no replicate refits. A is built once per sample and score
-block and kept on the sample.
+its working set stays in cache.
+
+Calibration resamples residuals with golden-section multipliers and refits
+the slope coefficients with every selected structure (index sets, cutoffs,
+observance probabilities, and A itself) frozen at the original fit. The
+refit belongs to the fit and lives in `estimators`:
+`FunctionalSlope.refit_residuals` runs it, completing a two-stage fit's
+responses by the estimators' own completion rule, and
+`FunctionalSlope.observed_scores` gives the score rows of the observed pairs
+that A is built on. This module keeps A, the statistic and the quadratic
+form. At frozen structure the refit residuals are linear in the bootstrap
+responses, res = y* R, and y* = mu + v * eps, so each replicate statistic is
+a quadratic form in its multipliers v: no replicate refits. A is built once
+per sample and score block and kept on the sample.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import FunctionalSlope, MarSample, _completed_responses, _plugin_fit, fit_slope
+from .estimators import FunctionalSlope, MarSample, fit_slope
 from .exceptions import GridMismatchError, NumericalError
 from .functional import FpcBasis
 
@@ -74,16 +79,6 @@ class GofResult:
     @property
     def b(self) -> int:
         return self.bootstrap_statistics.size
-
-
-def _observed_score_rows(sample: MarSample, slope: FunctionalSlope) -> np.ndarray:
-    """Score rows of the observed curves in the slope's own basis."""
-    basis = slope.basis
-    if basis.n == sample.n_obs and basis.n != sample.n:
-        return basis.scores  # observed-pairs basis: rows are the observed curves
-    if basis.n == sample.n:
-        return basis.scores[sample.observed_index]
-    raise GridMismatchError("slope was fitted on a different sample")
 
 
 def _unit_differences(block: np.ndarray):
@@ -284,30 +279,7 @@ def golden_section_multipliers(
     if np.min(shape) < 1:
         raise ValueError("every dimension of shape must be at least 1")
     rng = np.random.default_rng(seed)
-    low = rng.random(shape) < GOLDEN_P_LOW
-    # each product is exactly its point or a signed zero, so the sum is exact
-    return low * GOLDEN_LOW + ~low * GOLDEN_HIGH
-
-
-def _refit_residuals(sample: MarSample, slope: FunctionalSlope, ystar: np.ndarray) -> np.ndarray:
-    """Residuals of refits of `slope` at its frozen structure, one per row of `ystar`.
-
-    `ystar` is a (B, n_obs) stack of centered responses over the observed
-    pairs. Every refit is the plug-in least squares fit of `_plugin_fit` on
-    the frozen score columns of the basis its stage was fitted in. A
-    one-stage fit refits over the observed pairs; a two-stage fit first
-    completes all n responses from its refitted first stage (with the frozen
-    IPW weights, if any) and refits the second stage over all rows. The map
-    is linear, so the identity stack gives its matrix R: the residuals of
-    any stack Y are Y @ R.
-    """
-    cols = np.asarray(slope.indices, dtype=int) - 1
-    target = ystar
-    if slope.first_stage is not None:
-        first = slope.first_stage
-        target = _completed_responses(sample, first.basis, first.indices, ystar, slope.ipw_weights)
-    alpha, coef = _plugin_fit(slope.basis.scores[:, cols], slope.basis.eigenvalues[cols], target)
-    return ystar - alpha[:, None] - coef @ _observed_score_rows(sample, slope)[:, cols].T
+    return np.where(rng.random(shape) < GOLDEN_P_LOW, GOLDEN_LOW, GOLDEN_HIGH)
 
 
 def wild_bootstrap_test(
@@ -323,7 +295,7 @@ def wild_bootstrap_test(
     golden-section replicates y*_i = <X_i, beta-hat> + V_i * eps_i over the
     observed pairs (the missingness pattern is kept), refits coefficients at
     the frozen structure, and recomputes the statistic with the same A.
-    The refit residuals are y* R with R = _refit_residuals(sample, slope, I),
+    The refit residuals are y* R with R = slope.refit_residuals(sample, I),
     so with M = R A R', E = diag(eps) and mu the fitted values, replicate b
     is (c0 + v_b q1 + v_b Q v_b') / n_obs^2 (clamped at zero), where
     Q = E M E, q1 = 2 E M mu and c0 = mu' M mu; a non-finite operator
@@ -338,10 +310,9 @@ def wild_bootstrap_test(
         raise ValueError("bootstrap count must be at least 1")
     slope = fit_slope(sample, basis, method_tag, seed=seed)
 
-    ytilde = sample.y_observed - sample.observed_mean
-    score_rows = _observed_score_rows(sample, slope)
+    score_rows = slope.observed_scores(sample)
     mu = slope.predict_centered(score_rows)  # fitted values over the observed pairs
-    eps = ytilde - mu
+    eps = sample.y_centered - mu
     block = score_rows[:, np.asarray(slope.indices, dtype=int) - 1]
     a = sample._derived(("A", block.shape, block.tobytes()), lambda: build_a_matrix(block))
     n_s = sample.n_obs
@@ -351,10 +322,10 @@ def wild_bootstrap_test(
     # then has nothing against linearity, so every statistic is zero (p = 1)
     # instead of a comparison of quadratic forms of numerical dust. The
     # yardstick is the spread of the observed responses, so units do not decide.
-    if float(np.max(np.abs(eps))) <= 1e-10 * float(np.max(np.abs(ytilde))):
+    if float(np.max(np.abs(eps))) <= 1e-10 * float(np.max(np.abs(sample.y_centered))):
         observed_stat, stats = 0.0, np.zeros(b)
     else:
-        refit = _refit_residuals(sample, slope, np.eye(n_s))
+        refit = slope.refit_residuals(sample, np.eye(n_s))
         m = refit @ a.values @ refit.T
         m_mu = m @ mu
         q = eps[:, None] * m * eps[None, :]

@@ -22,6 +22,7 @@ from .blas import set_blas_threads, single_blas_thread
 from .estimators import (
     METHOD_TAGS,
     MarSample,
+    _check_seed,
     _first_stage_basis,
     _sample_observance,
     fit_slope,
@@ -172,6 +173,7 @@ def generate_dataset(config: DgpConfig, seed):
     """
     if seed is None:
         raise ConfigError("a seed is required to generate data")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     grid = config.grid
     x = gen_ou_sample(config.n, grid, rng)
@@ -316,6 +318,7 @@ def mc_experiment(
     """
     if seed is None:
         raise ConfigError("mc runs must be seeded")
+    _check_seed(seed)
     if m < 1:
         raise ConfigError("m must be at least 1")
     if b < 0:

@@ -35,8 +35,6 @@ from sofreg.exceptions import DegenerateSampleError, GridMismatchError
 from sofreg.functional import DEFAULT_VAR_CUTOFF, FunctionalSample
 from sofreg.gof import (
     _CHORD_ANGLE,
-    _observed_score_rows,
-    _refit_residuals,
     _unit_differences,
     pcvm_statistic,
 )
@@ -138,7 +136,7 @@ def completed_ipw_responses(sample, slope, observance):
 def residuals(sample, slope):
     """Residuals of `slope` over the observed pairs only, ordered by observed index."""
     ytilde = sample.y_observed - sample.observed_mean
-    return ytilde - slope.predict_centered(_observed_score_rows(sample, slope))
+    return ytilde - slope.predict_centered(slope.observed_scores(sample))
 
 
 def per_replicate_bootstrap_statistics(sample, slope, a, multipliers):
@@ -149,9 +147,9 @@ def per_replicate_bootstrap_statistics(sample, slope, a, multipliers):
     refit at the frozen structure give the statistic in the test matrix `a`.
     """
     eps = residuals(sample, slope)
-    mu = slope.predict_centered(_observed_score_rows(sample, slope))
+    mu = slope.predict_centered(slope.observed_scores(sample))
     return np.array([
-        pcvm_statistic(_refit_residuals(sample, slope, (mu + v * eps)[None, :])[0], a)
+        pcvm_statistic(slope.refit_residuals(sample, (mu + v * eps)[None, :])[0], a)
         for v in multipliers
     ])
 

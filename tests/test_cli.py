@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from sofreg import blas, cli, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
@@ -310,6 +311,37 @@ def set_blas_threads():
     blas.set_blas_threads(previous)
 
 
+class TestSeedRule:
+    def argv(self, command, data, out, method="S"):
+        on_sample = ["--curves", data / "curves.csv", "--responses", data / "responses.csv",
+                     "--method", method]
+        return {
+            "simulate": ["simulate", "--n", 30],
+            "fit": ["fit", *on_sample],
+            "test": ["test", *on_sample, "--bootstrap", 20],
+            "mc": ["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                   "--estimators", "S", "--threads", 1],
+        }[command] + ["--seed", -1, "--out", out]
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "test", "mc"])
+    def test_a_negative_seed_is_config_error(self, mar_dataset, tmp_path, capsys, command):
+        # numpy's own refusal, "expected non-negative integer", named no setting
+        out = tmp_path / "out"
+        assert run(self.argv(command, mar_dataset, out)) == 3
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a nonnegative integer, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["S", "SL"])
+    def test_fit_refuses_a_negative_seed_whether_or_not_the_method_reads_it(
+            self, mar_dataset, tmp_path, capsys, method):
+        # S reads no seed and took -1; SL failed in numpy
+        out = tmp_path / "out"
+        assert run(self.argv("fit", mar_dataset, out, method)) == 3
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBlasThreads:
     def test_fit_and_test_reports_do_not_depend_on_the_blas_thread_count(
             self, tmp_path, set_blas_threads):
@@ -455,6 +487,27 @@ class TestMc:
                     "--out", tmp_path / "x"])
         assert code == 3
         assert "seed" in capsys.readouterr().err
+
+    def test_an_out_directory_that_cannot_be_made_fails_before_the_study(
+            self, tmp_path, capsys, monkeypatch):
+        # the files are written after every replicate has run, so without an
+        # early check the whole study would run and be thrown away
+        runs = count_calls(monkeypatch, simulation, "_run_replicate")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 2, "--bootstrap", 5,
+                    "--estimators", "S", "--seed", 1, "--threads", 1,
+                    "--out", blocker / "mc"]) == 3
+        assert_one_error_line_naming(capsys.readouterr().err, blocker)
+        assert runs == []
+
+    def test_refused_settings_keep_an_out_directory_that_was_there(self, tmp_path, capsys):
+        out = tmp_path / "mc"
+        out.mkdir()
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                    "--estimators", "S", "S", "--seed", 1, "--threads", 1, "--out", out]) == 3
+        assert "is given more than once" in capsys.readouterr().err
+        assert out.is_dir()
 
     @pytest.mark.parametrize("bootstrap, alpha", [(-3, 0.05), (20, 1.5)])
     def test_rejects_out_of_range_bootstrap_and_alpha(self, tmp_path, bootstrap, alpha):

@@ -544,12 +544,55 @@ class TestDeterminism:
             fit_slope(sample, basis, "x")
         assert str(METHOD_TAGS) in str(err.value)
 
+    @pytest.mark.parametrize("tag", ["S", "SL"])
+    def test_a_negative_seed_is_refused_whether_or_not_the_fit_reads_it(self, tag):
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
+            fit_slope(sample, basis, tag, seed=-1)
+
+    def test_a_lasso_fit_takes_any_seed_default_rng_takes(self):
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        by_int = fit_slope(sample, basis, "SL", seed=8)
+        for seed in (np.int64(8), np.random.default_rng(8)):
+            assert fit_slope(sample, basis, "SL", seed=seed).lasso_lambda == by_int.lasso_lambda
+        fit_slope(sample, basis, "SL", seed=[8, 1])
+
     def test_method_c_requires_full_observation(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=26)
         if sample.n_obs == sample.n:
             pytest.skip("draw produced no missing entries")
         with pytest.raises(ConfigError):
             fit_slope(sample, basis, "C")
+
+
+class TestObservedView:
+    VIEW = ("observed_index", "n_obs", "y_observed", "observed_mean", "y_centered")
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask=st.lists(st.booleans(), min_size=2, max_size=40).filter(lambda m: sum(m) >= 2),
+           seed=st.integers(0, 2**31 - 1))
+    def test_property_each_field_is_its_definition_derived_once_and_read_only(self, mask, seed):
+        rng = np.random.default_rng(seed)
+        r = np.array(mask)
+        y = np.where(r, rng.normal(size=r.size), np.nan)
+        sample = MarSample(FunctionalSample(GRID, rng.normal(size=(r.size, GRID.n_points))), y, r)
+        definitions = {
+            "observed_index": np.flatnonzero(r),
+            "n_obs": int(np.count_nonzero(r)),
+            "y_observed": y[r],
+            "observed_mean": float(np.mean(y[r])),
+            "y_centered": y[r] - float(np.mean(y[r])),
+        }
+        for name in self.VIEW:
+            value = getattr(sample, name)
+            np.testing.assert_array_equal(value, definitions[name])
+            assert type(value) is type(definitions[name])
+            assert getattr(sample, name) is value
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, name, definitions[name])
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[0] = 0.0
 
 
 class TestSampleMemo:

@@ -18,15 +18,19 @@ from sofreg.blas import single_blas_thread
 import sofreg.estimators
 import sofreg.gof
 from sofreg.dataio import _cutoffs
-from sofreg.estimators import METHOD_TAGS, MarSample, fit_slope, observed_pairs_basis
+from sofreg.estimators import (
+    METHOD_TAGS,
+    FunctionalSlope,
+    MarSample,
+    fit_slope,
+    observed_pairs_basis,
+)
 from sofreg.exceptions import GridMismatchError, NumericalError
 from sofreg.functional import FunctionalSample, fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
     GOLDEN_LOW,
     GOLDEN_P_LOW,
-    _observed_score_rows,
-    _refit_residuals,
     build_a_matrix,
     golden_section_multipliers,
     pcvm_statistic,
@@ -293,8 +297,7 @@ class TestFixedStructureRefitter:
         sample, basis, _ = make_mar_dataset(n=50, beta_id=3, eta=eta, delta=0.03, seed=31)
         assert (sample.n_obs < sample.n) == (eta is not None)
         slope = fit_slope(sample, basis, tag, seed=4)
-        ytilde = sample.y_observed - sample.observed_mean
-        refit = _refit_residuals(sample, slope, ytilde[None, :])[0]
+        refit = slope.refit_residuals(sample, sample.y_centered[None, :])[0]
         expected = residuals(sample, slope)
         assert np.linalg.norm(refit - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -309,8 +312,8 @@ class TestFixedStructureRefitter:
                                             delta=0.03 * (seed % 2), seed=seed)
         slope = fit_slope(sample, basis, tag, seed=seed)
         ystar = np.random.default_rng(seed).normal(size=(b, sample.n_obs))
-        operator = _refit_residuals(sample, slope, np.eye(sample.n_obs))
-        direct = _refit_residuals(sample, slope, ystar)
+        operator = slope.refit_residuals(sample, np.eye(sample.n_obs))
+        direct = slope.refit_residuals(sample, ystar)
         assert np.linalg.norm(direct - ystar @ operator) <= 1e-12 * np.linalg.norm(direct)
 
 
@@ -327,7 +330,7 @@ class TestBootstrapOracle:
         result = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed)
         slope = fit_slope(sample, basis, tag, seed=seed)
         cols = np.asarray(slope.indices) - 1
-        a = build_a_matrix(_observed_score_rows(sample, slope)[:, cols])
+        a = build_a_matrix(slope.observed_scores(sample)[:, cols])
         # the multipliers of the test's own stream
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x426F6F)))
         v = golden_section_multipliers((b, sample.n_obs), rng)
@@ -357,9 +360,9 @@ class TestBootstrapMoments:
         b, seed = 20_000, 7
         stats = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed).bootstrap_statistics
         slope = fit_slope(sample, basis, tag, seed=seed)
-        rows = _observed_score_rows(sample, slope)
+        rows = slope.observed_scores(sample)
         a = build_a_matrix(rows[:, np.asarray(slope.indices) - 1]).values
-        refit = _refit_residuals(sample, slope, np.eye(sample.n_obs))
+        refit = slope.refit_residuals(sample, np.eye(sample.n_obs))
         m = refit @ a @ refit.T
         mu, eps = slope.predict_centered(rows), residuals(sample, slope)
         q = eps[:, None] * m * eps[None, :]
@@ -497,8 +500,8 @@ class TestWildBootstrap:
                 assert image.lasso_lambda == 2.0 ** (a + b) * slope.lasso_lambda
             cols = np.asarray(slope.indices) - 1
             np.testing.assert_array_equal(
-                build_a_matrix(_observed_score_rows(scaled, image)[:, cols]).values,
-                build_a_matrix(_observed_score_rows(base, slope)[:, cols]).values)
+                build_a_matrix(image.observed_scores(scaled)[:, cols]).values,
+                build_a_matrix(slope.observed_scores(base)[:, cols]).values)
             test = wild_bootstrap_test(base, method_tag=tag, b=40, seed=seed, **base_kw)
             image_test = wild_bootstrap_test(scaled, method_tag=tag, b=40, seed=seed,
                                              **scaled_kw)
@@ -533,8 +536,8 @@ class TestWildBootstrap:
             test = wild_bootstrap_test(sample, fpc_decompose(sample.x), tag, b=1)
             image_test = wild_bootstrap_test(moved, fpc_decompose(moved.x), tag, b=1)
             assert image_test.statistic == pytest.approx(test.statistic, rel=1e-11)
-            refit = _refit_residuals(sample, slope, ystar)
-            image_refit = _refit_residuals(moved, image, ystar[:, back])
+            refit = slope.refit_residuals(sample, ystar)
+            image_refit = image.refit_residuals(moved, ystar[:, back])
             np.testing.assert_allclose(image_refit, refit[:, back], rtol=0,
                                        atol=1e-12 * np.abs(refit).max())
 
@@ -591,12 +594,14 @@ class TestWildBootstrap:
             assert np.all(result.bootstrap_statistics >= 0.0)
 
     def test_a_non_finite_operator_raises(self, monkeypatch):
-        def poisoned(sample, slope, ystar):
-            res = _refit_residuals(sample, slope, ystar)
+        refit_residuals = FunctionalSlope.refit_residuals
+
+        def poisoned(slope, sample, ystar):
+            res = refit_residuals(slope, sample, ystar)
             res[0, 0] = np.nan
             return res
 
-        monkeypatch.setattr(sofreg.gof, "_refit_residuals", poisoned)
+        monkeypatch.setattr(FunctionalSlope, "refit_residuals", poisoned)
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)
         with pytest.raises(NumericalError, match="non-finite bootstrap operator"):
             wild_bootstrap_test(sample, basis, "S", b=50, seed=1)

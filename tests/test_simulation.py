@@ -208,6 +208,17 @@ class TestDgpConfig:
         with pytest.raises(ConfigError):
             generate_dataset(DgpConfig(beta_id=1), None)
 
+    def test_generate_dataset_refuses_a_negative_seed_and_takes_what_default_rng_takes(self):
+        config = DgpConfig(beta_id=1, eta=1.0, n=20)
+        for seed in (-1, np.int64(-3)):
+            with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+                generate_dataset(config, seed)
+        by_int = generate_dataset(config, 5)[0]
+        for seed in (np.int64(5), np.random.default_rng(5)):
+            np.testing.assert_array_equal(generate_dataset(config, seed)[0].x.values,
+                                          by_int.x.values)
+        generate_dataset(config, [5, 2])
+
     def test_fewer_than_two_observed_keeps_the_two_largest_norm_curves(self, monkeypatch):
         monkeypatch.setattr(simulation, "gen_missing",
                             lambda x, eta, rng: np.zeros(x.n, dtype=bool))
@@ -236,6 +247,12 @@ class TestMcExperiment:
         cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
         with pytest.raises(ConfigError):
             mc_experiment([cfg], m=1, b=10, seed=None)
+
+    def test_refuses_a_negative_seed_before_any_replicate(self, monkeypatch):
+        runs = count_calls(monkeypatch, simulation, "_run_replicate")
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
+            mc_experiment([DgpConfig(beta_id=1, eta=1.0, n=40)], m=1, b=10, seed=-1)
+        assert runs == []
 
     def test_refuses_zero_replicates(self):
         with pytest.raises(ConfigError, match="m must be at least 1"):
