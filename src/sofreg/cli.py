@@ -223,8 +223,13 @@ def cmd_mc(args) -> int:
     ]
     # atomic_write_text makes --out too, but only after the study, which may
     # run for hours: make it first, so that one that cannot be made fails
-    # before the study. Settings that mc_experiment refuses remove it again.
-    made = not os.path.isdir(args.out)
+    # before the study. Settings that mc_experiment refuses remove every
+    # directory made here again, deepest first.
+    made = []
+    path = os.path.abspath(args.out)
+    while not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
     try:
         report = mc_experiment(
@@ -232,8 +237,8 @@ def cmd_mc(args) -> int:
             estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
         )
     except SofregError:
-        if made:
-            os.rmdir(args.out)
+        for path in made:
+            os.rmdir(path)
         raise
 
     outputs = []

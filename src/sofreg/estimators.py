@@ -70,13 +70,16 @@ CV_TIE_RTOL = 1e-12
 
 
 def _check_seed(seed) -> None:
-    """Refuse a negative integer seed, which `np.random.default_rng` rejects.
+    """Refuse None, which draws from OS entropy, and a negative integer seed.
 
     `fit_slope` (and through it `wild_bootstrap_test`), `generate_dataset`
     and `mc_experiment` check their seed here before any work, so a seed is
-    refused alike whether or not a LASSO or a bootstrap would read it.
-    Anything else `default_rng` takes (a sequence, a Generator) passes.
+    refused alike whether or not a LASSO or a bootstrap would read it, and
+    no result depends on entropy that a rerun cannot repeat. Anything else
+    `np.random.default_rng` takes (a sequence, a Generator) passes.
     """
+    if seed is None:
+        raise ConfigError("a seed is required; None would draw from OS entropy")
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
@@ -469,7 +472,8 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
 
     `basis` is the FPC basis of all n curves; the first stage runs in the
     basis of the observed curves at `basis.var_cutoff`. `seed` sets the
-    LASSO cross-validation folds; a negative one is refused for every tag.
+    LASSO cross-validation folds; None or a negative one is refused for
+    every tag.
     The CV-selected fits (C, S, I, W) read no seed, so the sample and the
     basis determine them: each is computed once per sample and basis, kept
     on the sample with read-only arrays, and returned as the same object on

@@ -18,7 +18,7 @@ class ConfigError(SofregError):
 
 
 class NumericalError(SofregError):
-    """A numerical procedure failed beyond its retry budget."""
+    """A numerical procedure produced a non-finite result."""
 
 
 class CsvFormatError(SofregError):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FunctionalSlope, MarSample, fit_slope
-from .exceptions import GridMismatchError, NumericalError
+from .exceptions import ConfigError, GridMismatchError, NumericalError
 from .functional import FpcBasis
 
 #: Relative tolerance under which two score vectors count as coincident.
@@ -218,8 +218,8 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     angle_term is 2*pi when the three score vectors coincide, pi when exactly
     one pair does, and pi - (angle at vertex r between the difference
     vectors) otherwise; c = pi^(N_K/2 - 1) / Gamma(N_K / 2), with N_K the
-    width of the block. Entries depend only on angles, so the matrix is
-    invariant under a common rescaling of scores.
+    width of the (n_s, N_K) block. Entries depend only on angles, so the
+    matrix is invariant under a common rescaling of scores.
 
     Coincident rows are one point weighted by its row count. For three
     distinct points the angles of their triangle sum to pi, so pi minus the
@@ -235,8 +235,6 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     wide (39 vertices from r = 1); from r = 181 on, a block is one vertex.
     """
     block = np.asarray(score_block, dtype=float)
-    if block.ndim == 1:
-        block = block[:, None]
     if not np.all(np.isfinite(block)):
         raise ValueError("score block must be finite")
     n_s, n_k = block.shape
@@ -304,10 +302,14 @@ def wild_bootstrap_test(
     one sample whose fits use the same score columns share it. The slope
     comes from `fit_slope`, so a CV-selected slope (C, S, I, W) already
     fitted on this sample and basis is taken from the sample's memo, not
-    refitted; a LASSO slope is refitted with `seed`.
+    refitted; a LASSO slope is refitted with `seed`. `seed` also draws the
+    multipliers, and it must be a nonnegative integer, the one kind of seed
+    that `GofResult.seed` records.
     """
     if b < 1:
         raise ValueError("bootstrap count must be at least 1")
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     slope = fit_slope(sample, basis, method_tag, seed=seed)
 
     score_rows = slope.observed_scores(sample)

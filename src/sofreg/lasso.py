@@ -10,6 +10,13 @@ reaches zero (a drop). Each requested lambda is read off the closed form of
 its segment, so the coefficients satisfy the KKT conditions to rounding and
 are exactly zero off the active set.
 
+The designs are FPC score blocks, whose columns are nonzero and mutually
+orthogonal, so no two are equal. A design with two equal columns is outside
+this contract: once both are active the padded Gram matrix is singular, so
+`lasso_select` may raise `numpy.linalg.LinAlgError` (which `mc` counts as a
+replicate failure), and a support it does return may split the pair
+arbitrarily.
+
 The score designs have a handful of columns, so a path has a few kinks and
 each costs one small solve; the cost is in numpy calls, not arithmetic.
 Paths are therefore followed in lockstep over a stack of problems: the CV
@@ -170,25 +177,6 @@ def _full_gram(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _distinct_columns(design: np.ndarray) -> np.ndarray | None:
-    """Indices of the columns equal to no earlier column; None when all are distinct.
-
-    Columns with different first entries differ, so a design whose first row
-    has distinct entries, as a score design's has, costs one Python set of
-    that row; only columns that tie there are compared in full.
-    """
-    if design.shape[0] == 0:
-        return None
-    first = design[0]
-    if len(set(first.tolist())) == first.size:
-        return None
-    twin = np.zeros(design.shape[1], dtype=bool)
-    for i, j in np.argwhere(np.triu(first[:, None] == first, 1)):
-        if not twin[j] and np.array_equal(design[:, i], design[:, j]):
-            twin[j] = True
-    return np.flatnonzero(~twin) if twin.any() else None
-
-
 def lasso_select(
     design: np.ndarray, y: np.ndarray, seed: int | np.random.Generator = 0
 ) -> tuple[tuple[int, ...], dict]:
@@ -199,17 +187,9 @@ def lasso_select(
     Returns 1-based column indices of the support at the most penalized
     lambda whose CV error is within one standard error of the minimum,
     with {1} as the fallback for an empty support.
-
-    A column identical to an earlier one never joins: the earlier one stands
-    for both, as the join tie rule takes the lower index. The selection is
-    that of the design without the later twins, whose Grams are not singular.
     """
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
-    keep = _distinct_columns(design)
-    if keep is not None:
-        support, diag = lasso_select(design[:, keep], y, seed)
-        return tuple(int(keep[j - 1]) + 1 for j in support), diag
     n = y.size
     folds = max(2, min(FOLDS, n))
     rng = np.random.default_rng(seed)

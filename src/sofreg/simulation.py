@@ -171,8 +171,6 @@ def generate_dataset(config: DgpConfig, seed):
     oracle checks can use them. The true slope is beta_j of `config` on its
     grid; the other settings it was drawn with are those of `config`.
     """
-    if seed is None:
-        raise ConfigError("a seed is required to generate data")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     grid = config.grid
@@ -316,8 +314,6 @@ def mc_experiment(
     and rejection rates are over the finite entries, and `missing_fraction`
     averages over the replicates whose data were drawn.
     """
-    if seed is None:
-        raise ConfigError("mc runs must be seeded")
     _check_seed(seed)
     if m < 1:
         raise ConfigError("m must be at least 1")

@@ -509,6 +509,24 @@ class TestMc:
         assert "is given more than once" in capsys.readouterr().err
         assert out.is_dir()
 
+    def test_refused_settings_remove_every_directory_made_for_the_out_directory(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                    "--estimators", "S", "S", "--seed", 1, "--threads", 1,
+                    "--out", "nest/a/b/mc"]) == 3
+        assert "is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "nest").exists()
+
+    def test_refused_settings_keep_an_empty_parent_that_was_there(self, tmp_path, capsys):
+        nest = tmp_path / "nest"
+        nest.mkdir()
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                    "--estimators", "S", "S", "--seed", 1, "--threads", 1,
+                    "--out", nest / "a" / "b" / "mc"]) == 3
+        assert "is given more than once" in capsys.readouterr().err
+        assert nest.is_dir() and not any(nest.iterdir())
+
     @pytest.mark.parametrize("bootstrap, alpha", [(-3, 0.05), (20, 1.5)])
     def test_rejects_out_of_range_bootstrap_and_alpha(self, tmp_path, bootstrap, alpha):
         out = tmp_path / "mc"

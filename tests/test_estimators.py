@@ -550,6 +550,13 @@ class TestDeterminism:
         with pytest.raises(ConfigError, match="seed must be a nonnegative integer, got -1"):
             fit_slope(sample, basis, tag, seed=-1)
 
+    @pytest.mark.parametrize("tag", ["S", "SL"])
+    def test_a_missing_seed_is_refused_whether_or_not_the_fit_reads_it(self, tag):
+        # None would draw the LASSO folds from OS entropy, which no rerun repeats
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        with pytest.raises(ConfigError, match="a seed is required"):
+            fit_slope(sample, basis, tag, seed=None)
+
     def test_a_lasso_fit_takes_any_seed_default_rng_takes(self):
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
         by_int = fit_slope(sample, basis, "SL", seed=8)

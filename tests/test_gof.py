@@ -25,7 +25,7 @@ from sofreg.estimators import (
     fit_slope,
     observed_pairs_basis,
 )
-from sofreg.exceptions import GridMismatchError, NumericalError
+from sofreg.exceptions import ConfigError, GridMismatchError, NumericalError
 from sofreg.functional import FunctionalSample, fpc_decompose
 from sofreg.gof import (
     GOLDEN_HIGH,
@@ -142,7 +142,7 @@ class TestAMatrix:
         # both at or below x_r plus those with both at or above it
         le = (x[:, None] <= x[None, :]).astype(float)
         ge = (x[:, None] >= x[None, :]).astype(float)
-        np.testing.assert_allclose(build_a_matrix(x).values, le @ le.T + ge @ ge.T,
+        np.testing.assert_allclose(build_a_matrix(x[:, None]).values, le @ le.T + ge @ ge.T,
                                    rtol=0, atol=1e-12)
 
     def test_near_collinear_triple_keeps_its_digits(self):
@@ -417,6 +417,17 @@ class TestWildBootstrap:
         assert base.statistic > 0.0
         assert result.statistic == pytest.approx(scale**2 * base.statistic, rel=1e-12)
         assert result.p_value == base.p_value
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.0, [1, 2], np.random.default_rng(1)],
+                             ids=["none", "negative", "float", "sequence", "generator"])
+    def test_refuses_a_seed_other_than_a_nonnegative_integer(self, seed):
+        # the result and its report record the seed, and only an integer reads back
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+            wild_bootstrap_test(sample, basis, "SL", b=10, seed=seed)
+        by_int = wild_bootstrap_test(sample, basis, "SL", b=10, seed=1)
+        by_numpy = wild_bootstrap_test(sample, basis, "SL", b=10, seed=np.int64(1))
+        np.testing.assert_array_equal(by_numpy.bootstrap_statistics, by_int.bootstrap_statistics)
 
     def test_p_value_granularity(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=2, eta=1.0, seed=14)

@@ -75,8 +75,8 @@ def first_drop(x, y):
     return j, lo
 
 
-def recorded_selections(monkeypatch, n, eta, seed):
-    """(design, y, seed) of every lasso_select call the SL, IL and WL fits make."""
+def recorded_selections(monkeypatch, n, eta, seed, tags=("SL", "IL", "WL")):
+    """(design, y, seed) of every lasso_select call the fits of `tags` make."""
     calls = []
 
     def recorder(design, y, seed=0, **kwargs):
@@ -86,7 +86,7 @@ def recorded_selections(monkeypatch, n, eta, seed):
     monkeypatch.setattr(sofreg.estimators, "lasso_select", recorder)
     sample, basis, y = make_mar_dataset(n=n, beta_id=1 + seed % 3, eta=eta,
                                         delta=0.03 * (seed % 2), seed=seed)
-    for tag in ("SL", "IL", "WL"):
+    for tag in tags:
         fit_slope(sample, basis, tag, seed=seed)
     return calls
 
@@ -349,22 +349,22 @@ class TestLassoSelect:
                 np.testing.assert_allclose(diag["cv"], ref_cv, rtol=1e-12)
                 np.testing.assert_allclose(diag["cv_se"], ref_se, rtol=1e-12)
 
-    def test_a_twin_column_never_joins(self):
-        # the lower index stands for both twins: the selection is that of the
-        # design without the later twin, whose path meets the KKT conditions
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            x = rng.normal(size=(60, 4))
-            x[:, 1] = x[:, 0]
-            y = x @ rng.normal(size=4) + rng.normal(size=60)
-            support, diag = lasso_select(x, y, seed=seed)
-            assert not {1, 2} <= set(support)
-            kept = x[:, [0, 2, 3]]
-            xc, yc = kept - kept.mean(axis=0), y - y.mean()
-            beta = lasso_path(xc, yc, np.array([diag["lambda"]]))[0]
-            assert kkt_violation(xc, yc, beta, diag["lambda"]) <= 1e-9 * max(1.0, lambda_max(xc, yc))
-            expected = tuple(int(j) for j in np.array([1, 3, 4])[beta != 0.0]) or (1,)
-            assert support == expected
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 200),
+           eta=st.sampled_from([None, 0.5, 2.0]))
+    def test_property_score_designs_have_nonzero_orthogonal_columns(self, seed, n, eta):
+        # lasso_select assumes no two design columns are equal; every design
+        # fit_slope hands it is a block of FPC scores, which has none
+        tags = ("CL",) if eta is None else ("SL", "IL", "WL")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = recorded_selections(monkeypatch, n, eta, seed, tags)
+        assert calls
+        for design, _, _ in calls:
+            norms = np.linalg.norm(design, axis=0)
+            assert np.all(norms > 0.0)
+            cos = np.abs(design.T @ design) / np.outer(norms, norms)
+            np.fill_diagonal(cos, 0.0)
+            assert cos.max() <= 1e-12
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)

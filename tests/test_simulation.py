@@ -205,7 +205,7 @@ class TestDgpConfig:
             DgpConfig(beta_id=1, seed=11)
         with pytest.raises(TypeError):
             generate_dataset(DgpConfig(beta_id=1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="a seed is required"):
             generate_dataset(DgpConfig(beta_id=1), None)
 
     def test_generate_dataset_refuses_a_negative_seed_and_takes_what_default_rng_takes(self):
@@ -245,7 +245,7 @@ class TestMcExperiment:
 
     def test_requires_seed(self):
         cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="a seed is required"):
             mc_experiment([cfg], m=1, b=10, seed=None)
 
     def test_refuses_a_negative_seed_before_any_replicate(self, monkeypatch):
