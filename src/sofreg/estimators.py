@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DegenerateSampleError, GridMismatchError
+from .exceptions import ConfigError, DegenerateSampleError, GridMismatchError, check_seed
 from .functional import (
     DEFAULT_VAR_CUTOFF,
     FpcBasis,
@@ -67,21 +67,6 @@ METHOD_TAGS = ("C", "CL", "S", "SL", "I", "IL", "W", "WL")
 #: Leave-one-out CV errors within this multiple of y~'y~ of the smallest
 #: differ only by round-off and count as ties.
 CV_TIE_RTOL = 1e-12
-
-
-def _check_seed(seed) -> None:
-    """Refuse None, which draws from OS entropy, and a negative integer seed.
-
-    `fit_slope` (and through it `wild_bootstrap_test`), `generate_dataset`
-    and `mc_experiment` check their seed here before any work, so a seed is
-    refused alike whether or not a LASSO or a bootstrap would read it, and
-    no result depends on entropy that a rerun cannot repeat. Anything else
-    `np.random.default_rng` takes (a sequence, a Generator) passes.
-    """
-    if seed is None:
-        raise ConfigError("a seed is required; None would draw from OS entropy")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -479,7 +464,7 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
     on the sample with read-only arrays, and returned as the same object on
     every later call.
     """
-    _check_seed(seed)
+    check_seed(seed)
     tag = method.upper()
     if tag not in METHOD_TAGS:
         raise ConfigError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FunctionalSlope, MarSample, fit_slope
-from .exceptions import ConfigError, GridMismatchError, NumericalError
+from .exceptions import ConfigError, GridMismatchError, NumericalError, check_seed
 from .functional import FpcBasis
 
 #: Relative tolerance under which two score vectors count as coincident.
@@ -274,6 +274,7 @@ def golden_section_multipliers(
 
     `seed` may be a Generator, which is drawn from (and advanced) in place.
     """
+    check_seed(seed)
     if np.min(shape) < 1:
         raise ValueError("every dimension of shape must be at least 1")
     rng = np.random.default_rng(seed)

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import check_seed
+
 N_LAMBDAS = 100
 LAMBDA_MIN_RATIO = 1e-4
 
@@ -186,8 +188,10 @@ def lasso_select(
     columns on each training set (a no-op for zero-mean score designs).
     Returns 1-based column indices of the support at the most penalized
     lambda whose CV error is within one standard error of the minimum,
-    with {1} as the fallback for an empty support.
+    with {1} as the fallback for an empty support. `seed` draws the fold
+    assignment; None or a negative one is refused (`check_seed`).
     """
+    check_seed(seed)
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size

@@ -22,12 +22,11 @@ from .blas import set_blas_threads, single_blas_thread
 from .estimators import (
     METHOD_TAGS,
     MarSample,
-    _check_seed,
     _first_stage_basis,
     _sample_observance,
     fit_slope,
 )
-from .exceptions import ConfigError, GridMismatchError, SofregError
+from .exceptions import ConfigError, GridMismatchError, SofregError, check_seed
 from .functional import FunctionalSample, Grid, fpc_decompose
 from .gof import wild_bootstrap_test
 
@@ -68,6 +67,7 @@ def gen_ou_sample(n: int, grid: Grid, seed: int | np.random.Generator = 0) -> Fu
     The product runs at one BLAS thread, like `_ou_factor`, so the curves do
     not depend on the caller's thread count.
     """
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     factor = _ou_factor(grid)
     with single_blas_thread():
@@ -101,6 +101,7 @@ def gen_responses(
     seed: int | np.random.Generator = 0,
 ) -> np.ndarray:
     """Responses y_i = <X_i, beta> + delta * ||X_i||^2 + N(0, sigma_eps^2)."""
+    check_seed(seed)
     _check_nonnegative("delta", delta)
     _check_nonnegative("sigma_eps", sigma_eps)
     rng = np.random.default_rng(seed)
@@ -116,6 +117,7 @@ def gen_missing(
     x: FunctionalSample, eta: float, seed: int | np.random.Generator = 0
 ) -> np.ndarray:
     """Observance indicators r_i ~ Bernoulli(1 / (1 + exp(-eta ||X_i||^2)))."""
+    check_seed(seed)
     if not (math.isfinite(eta) and eta > 0):
         raise ConfigError(f"eta must be finite and positive, got {eta}")
     rng = np.random.default_rng(seed)
@@ -171,7 +173,7 @@ def generate_dataset(config: DgpConfig, seed):
     oracle checks can use them. The true slope is beta_j of `config` on its
     grid; the other settings it was drawn with are those of `config`.
     """
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     grid = config.grid
     x = gen_ou_sample(config.n, grid, rng)
@@ -314,7 +316,7 @@ def mc_experiment(
     and rejection rates are over the finite entries, and `missing_fraction`
     averages over the replicates whose data were drawn.
     """
-    _check_seed(seed)
+    check_seed(seed)
     if m < 1:
         raise ConfigError("m must be at least 1")
     if b < 0:

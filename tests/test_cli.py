@@ -311,6 +311,66 @@ def set_blas_threads():
     blas.set_blas_threads(previous)
 
 
+def run_fresh_process(code, *args, **env):
+    """Run Python `code` with `args` in a new process that imports this sofreg
+    tree, with `env` added to the environment; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+#: The commands whose reports must not depend on the BLAS thread count, run
+#: under `sys.argv[1]` by a process whose OpenBLAS starts at the count that
+#: OPENBLAS_NUM_THREADS sets, as a shell's `sofreg` would.
+FRESH_PROCESS_COMMANDS = """
+import os, sys
+from sofreg import blas
+from sofreg.cli import main
+
+threads = int(os.environ["OPENBLAS_NUM_THREADS"])
+assert blas.set_blas_threads(threads) == threads, "OpenBLAS ignored OPENBLAS_NUM_THREADS"
+root = sys.argv[1]
+
+def run(*argv):
+    assert main([str(a) for a in argv]) == 0, argv
+
+# the wide sample has more curves than grid points: its bases come from the
+# grid-side Gram
+for prefix, n, grid_points, methods in (("", 65, 201, "I IL W WL"), ("wide-", 150, 101, "I WL")):
+    data = f"{root}/{prefix}data"
+    run("simulate", "--beta-id", 3, "--n", n, "--eta", 2.0, "--grid-points", grid_points,
+        "--seed", 0, "--out", data)
+    for method in methods.split():
+        on_sample = ["--curves", f"{data}/curves.csv", "--responses", f"{data}/responses.csv",
+                     "--method", method]
+        run("fit", *on_sample, "--out", f"{root}/{prefix}fit-{method}")
+        run("test", *on_sample, "--bootstrap", 200, "--out", f"{root}/{prefix}test-{method}")
+# one worker runs without the pool modules, two with them
+for workers in (1, 2):
+    run("mc", "--beta-id", 3, "--eta", 0.5, 1.0, "--n", 40, "--delta", 0, 0.03, "--m", 4,
+        "--bootstrap", 50, "--estimators", *"C CL S SL I IL W WL".split(), "--seed", 0,
+        "--threads", workers, "--plots", "--out", f"{root}/mc-{workers}")
+"""
+
+
+def report_files(root):
+    """The bytes of every file under `root` by relative path, but for the
+    manifests and the boxplot_time_* plots, which record wall times."""
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "manifest.json"
+            and not path.name.startswith("boxplot_time_")}
+
+
+def differing(a, b):
+    """The names whose bytes differ between two `report_files`, or that one lacks."""
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
 class TestSeedRule:
     def argv(self, command, data, out, method="S"):
         on_sample = ["--curves", data / "curves.csv", "--responses", data / "responses.csv",
@@ -343,6 +403,28 @@ class TestSeedRule:
 
 
 class TestBlasThreads:
+    def test_fresh_processes_write_the_same_reports_at_one_and_two_blas_threads(self, tmp_path):
+        # the thread count a shell sets reaches OpenBLAS when numpy loads,
+        # before cli.main runs; in-process tests change it only afterwards
+        if blas._openblas() is None:
+            pytest.skip("no OpenBLAS loaded")
+        if cli._default_threads() < 2:
+            pytest.skip("OpenBLAS caps its thread count at the usable cores")
+        roots = [tmp_path / f"blas-{threads}" for threads in (1, 2)]
+        for threads, root in zip((1, 2), roots):
+            run_fresh_process(FRESH_PROCESS_COMMANDS, root, OPENBLAS_NUM_THREADS=str(threads))
+        one, two = map(report_files, roots)
+        assert {"fit-W/slope_W.json", "test-WL/gof_WL.json", "wide-test-WL/gof_WL.json",
+                "mc-1/report.json", "mc-2/boxplot_msee_beta3_eta1_n40_delta0.03.svg"} <= one.keys()
+        assert differing(one, two) == []
+        by_workers = [{name.split("/", 1)[1]: data for name, data in one.items()
+                       if name.startswith(f"mc-{workers}/")} for workers in (1, 2)]
+        assert differing(*by_workers) == []
+        # each mc manifest lists every output once
+        for mc in (root / f"mc-{workers}" for root in roots for workers in (1, 2)):
+            listed = json.loads((mc / "manifest.json").read_text())["outputs"]
+            assert listed == sorted(p.name for p in mc.iterdir() if p.name != "manifest.json")
+
     def test_fit_and_test_reports_do_not_depend_on_the_blas_thread_count(
             self, tmp_path, set_blas_threads):
         # at the real-data shape, threaded BLAS moved trailing digits of the
@@ -482,6 +564,22 @@ class TestMc:
         assert report["m"] == 2 and report["cells"][0]["n"] == 40
         assert any(p.name.startswith("boxplot_msee") for p in out.iterdir())
 
+    def test_replicate_failures_are_counted_and_warned_of(self, tmp_path, monkeypatch, capsys):
+        def overflowing_test(sample, basis, tag, **kwargs):
+            raise FloatingPointError("overflow encountered in the test")
+
+        monkeypatch.setattr(simulation, "wild_bootstrap_test", overflowing_test)
+        out = tmp_path / "mc"
+        assert run(["mc", "--beta-id", 1, "--eta", 1.0, "--n", 30, "--m", 3, "--bootstrap", 5,
+                    "--estimators", "S", "--seed", 1, "--threads", 1, "--plots",
+                    "--out", out]) == 0
+        assert "warning: 3 replicate failures recorded\n" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["cells"][0]["failures"] == {"S": 3}
+        # a failed replicate has no MSEE, so the boxplot has no value to draw
+        svg = (out / "boxplot_msee_beta1_eta1_n30_delta0.svg").read_text()
+        assert ">empty</text>" in svg
+
     def test_refuses_unseeded(self, tmp_path, capsys):
         code = run(["mc", "--beta-id", 1, "--m", 1, "--bootstrap", 10,
                     "--out", tmp_path / "x"])
@@ -498,7 +596,9 @@ class TestMc:
         assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 2, "--bootstrap", 5,
                     "--estimators", "S", "--seed", 1, "--threads", 1,
                     "--out", blocker / "mc"]) == 3
-        assert_one_error_line_naming(capsys.readouterr().err, blocker)
+        err = capsys.readouterr().err
+        assert_one_error_line_naming(err, blocker)
+        assert "Not a directory" in err
         assert runs == []
 
     def test_refused_settings_keep_an_out_directory_that_was_there(self, tmp_path, capsys):
@@ -794,11 +894,8 @@ class TestImports:
             "    assert main(argv) == 0",
             "    report(argv[0])",
         ])
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True, timeout=120)
-        reports = [line for line in done.stdout.splitlines() if line.startswith("pool modules")]
+        reports = [line for line in run_fresh_process(code).splitlines()
+                   if line.startswith("pool modules")]
         assert len(reports) == 6
         assert all(line.endswith(": []") for line in reports), reports
 

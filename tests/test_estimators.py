@@ -26,8 +26,10 @@ from sofreg.estimators import (
     joint_loocv_cutoffs,
     observed_pairs_basis,
 )
-from sofreg.exceptions import ConfigError, DegenerateSampleError
+from sofreg.exceptions import ConfigError, DegenerateSampleError, GridMismatchError
 from sofreg.functional import FunctionalSample, fpc_decompose, project_scores
+from sofreg.gof import golden_section_multipliers
+from sofreg.lasso import lasso_select
 from sofreg.simulation import gen_missing, gen_ou_sample, gen_responses, mse_estimation
 
 
@@ -544,6 +546,16 @@ class TestDeterminism:
             fit_slope(sample, basis, "x")
         assert str(METHOD_TAGS) in str(err.value)
 
+    @pytest.mark.parametrize("select", [
+        lambda sample, basis: fit_slope(sample, basis, "S"),
+        lambda sample, basis: joint_loocv_cutoffs(sample, basis),
+    ], ids=["fit_slope", "joint_loocv_cutoffs"])
+    def test_a_basis_of_another_sample_is_refused(self, select):
+        sample, _, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        _, other_basis, _ = make_mar_dataset(n=31, beta_id=1, eta=1.0, seed=3)
+        with pytest.raises(GridMismatchError, match="basis was not computed from this sample"):
+            select(sample, other_basis)
+
     @pytest.mark.parametrize("tag", ["S", "SL"])
     def test_a_negative_seed_is_refused_whether_or_not_the_fit_reads_it(self, tag):
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
@@ -563,6 +575,30 @@ class TestDeterminism:
         for seed in (np.int64(8), np.random.default_rng(8)):
             assert fit_slope(sample, basis, "SL", seed=seed).lasso_lambda == by_int.lasso_lambda
         fit_slope(sample, basis, "SL", seed=[8, 1])
+
+    #: Each public draw below fit_slope and generate_dataset, as an array
+    #: that its seed determines.
+    SEEDED_DRAWS = {
+        "lasso_select": lambda seed, xy=np.random.default_rng(1).normal(size=(4, 30)):
+            lasso_select(xy[:3].T, xy[3], seed=seed)[1]["cv"],
+        "golden_section_multipliers": lambda seed: golden_section_multipliers(20, seed),
+        "gen_ou_sample": lambda seed: gen_ou_sample(3, GRID, seed).values,
+        "gen_responses": lambda seed: gen_responses(gen_ou_sample(20, GRID, 1), 1, seed=seed),
+        "gen_missing": lambda seed: gen_missing(gen_ou_sample(20, GRID, 1), 1.0, seed),
+    }
+
+    @pytest.mark.parametrize("seed, message", [
+        (None, "a seed is required; None would draw from OS entropy"),
+        (-1, "seed must be a nonnegative integer, got -1"),
+        (np.int64(-3), "seed must be a nonnegative integer, got -3"),
+    ], ids=["none", "negative", "negative-numpy"])
+    @pytest.mark.parametrize("name", sorted(SEEDED_DRAWS))
+    def test_every_seeded_draw_applies_the_seed_rule(self, name, seed, message):
+        # None drew from OS entropy: two gen_ou_sample(3, grid, None) differed
+        draw = self.SEEDED_DRAWS[name]
+        with pytest.raises(ConfigError, match=message):
+            draw(seed)
+        np.testing.assert_array_equal(draw(np.random.default_rng(4)), draw(4))
 
     def test_method_c_requires_full_observation(self):
         sample, basis, _ = make_mar_dataset(n=40, beta_id=1, eta=1.0, seed=26)

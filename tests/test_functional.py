@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import inner_product, norm, reconstruct, svd_fpc_decompose
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
-from sofreg.functional import FunctionalSample, Grid, fpc_decompose
+from sofreg.functional import FunctionalSample, Grid, fpc_decompose, project_scores
 
 GRID = Grid.regular(0.0, 1.0, 201)
 T = GRID.points
@@ -213,6 +213,11 @@ class TestBasisInvariants:
         w = GRID.quad_weights
         proj = (centered * w) @ basis.eigenfunctions.T
         assert np.max(np.abs(proj - basis.scores)) < 1e-8
+
+    def test_project_scores_refuses_curves_on_another_grid(self, ou_basis):
+        basis, _ = ou_basis
+        with pytest.raises(GridMismatchError, match="curves do not live on the basis grid"):
+            project_scores(basis, np.ones((2, 100)))
 
     def test_score_variance_matches_eigenvalues(self, ou_basis):
         basis, _ = ou_basis

@@ -121,6 +121,10 @@ class TestAMatrix:
         with pytest.raises(ValueError):
             build_a_matrix(np.array([[np.nan], [1.0]]))
 
+    def test_rejects_one_row(self):
+        with pytest.raises(ValueError, match="need at least 2 score rows"):
+            build_a_matrix(np.array([[1.0, 2.0]]))
+
     @pytest.mark.parametrize("rows", [
         (0, 1, 2, 3, 1, 4, 0, 5),  # two duplicated pairs
         (0, 1, 2, 2, 3, 2, 4),  # a triplicate

@@ -181,6 +181,8 @@ class TestDgpConfig:
             DgpConfig(beta_id=1, eta=-1.0)
         with pytest.raises(ConfigError):
             DgpConfig(beta_id=1, sigma_eps=-0.1)
+        with pytest.raises(ConfigError, match="grid_points must be at least 3"):
+            DgpConfig(beta_id=1, grid_points=2)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["eta", "delta", "sigma_eps"])
