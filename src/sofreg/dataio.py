@@ -120,15 +120,10 @@ def read_responses_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         if r_tok not in ("0", "1"):
             raise CsvFormatError(f"observed flag must be 0 or 1, found {r_tok!r}", line=i)
         observed = r_tok == "1"
-        if observed:
-            y_val = _parse_float(y_tok, i)
-        else:
-            if y_tok not in ("", "NA"):
-                raise CsvFormatError(
-                    f"unobserved response must be empty or NA, found {y_tok!r}", line=i
-                )
-            y_val = float("nan")
-        ys.append(y_val)
+        if not observed and y_tok not in ("", "NA"):
+            raise CsvFormatError(f"unobserved response must be empty or NA, found {y_tok!r}",
+                                 line=i)
+        ys.append(_parse_float(y_tok, i) if observed else float("nan"))
         rs.append(observed)
     return np.asarray(ys), np.asarray(rs, dtype=bool)
 

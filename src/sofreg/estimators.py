@@ -51,8 +51,10 @@ from .functional import (
     DEFAULT_VAR_CUTOFF,
     FpcBasis,
     FunctionalSample,
+    ReadOnlyArrays,
     fpc_decompose,
     project_scores,
+    read_only,
 )
 from .lasso import lasso_select
 
@@ -69,21 +71,18 @@ METHOD_TAGS = ("C", "CL", "S", "SL", "I", "IL", "W", "WL")
 CV_TIE_RTOL = 1e-12
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    """`array`, made read-only in place."""
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True)
 class MarSample:
     """Curves, responses, and observance indicators (X_i, Y_i, R_i).
 
     `y` entries are meaningful only where `r` is True; unobserved entries
-    may be NaN. The observed view is derived once, on construction: the
-    indices of the observed pairs, their count, their responses, the mean of
-    those and the responses centered by it, `y_centered`, on which every fit
-    works. Like `y` and `r`, its arrays are read-only.
+    may be NaN. At least three responses must be observed: with two, the
+    first stage interpolates them and the LASSO cross-validation has no
+    training fold with a nonzero column. The observed view is derived once,
+    on construction: the indices of the observed pairs, their count, the
+    mean of their responses and those responses centered by it,
+    `y_centered`, on which every fit works. `y`, `r` and the view's arrays
+    are read-only copies, so the caller's arrays stay writeable.
     """
 
     x: FunctionalSample
@@ -91,7 +90,6 @@ class MarSample:
     r: np.ndarray
     observed_index: np.ndarray = field(init=False, repr=False, compare=False)
     n_obs: int = field(init=False, repr=False, compare=False)
-    y_observed: np.ndarray = field(init=False, repr=False, compare=False)
     observed_mean: float = field(init=False, repr=False, compare=False)
     y_centered: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -103,15 +101,14 @@ class MarSample:
             raise GridMismatchError(f"row count mismatch: {self.x.n} curves but {y.size} "
                                     f"responses and {r.size} observance indicators")
         observed_index, y_observed = np.flatnonzero(r), y[r]
-        if observed_index.size < 2:
-            raise ValueError("need at least 2 observed responses")
+        if observed_index.size < 3:
+            raise ValueError("need at least 3 observed responses")
         if not np.all(np.isfinite(y_observed)):
             raise ValueError("observed responses must be finite")
         observed_mean = float(y_observed.mean())
         for name, value in (("y", y), ("r", r), ("observed_index", observed_index),
-                            ("y_observed", y_observed),
                             ("y_centered", y_observed - observed_mean)):
-            object.__setattr__(self, name, _read_only(value))
+            object.__setattr__(self, name, read_only(value))
         object.__setattr__(self, "n_obs", observed_index.size)
         object.__setattr__(self, "observed_mean", observed_mean)
 
@@ -155,7 +152,7 @@ def _missing_scores(sample: MarSample, basis: FpcBasis) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FunctionalSlope:
+class FunctionalSlope(ReadOnlyArrays):
     """A fitted slope: coefficients on a set of FPC indices plus its curve.
 
     `basis` is the FPC basis the fit lives in (observed-pairs basis for the
@@ -168,8 +165,9 @@ class FunctionalSlope:
     bootstrap. The selection is held in `indices` alone (a CV cutoff K
     selects columns 1..K); one-stage CV fits (C, S) also keep their
     leave-one-out CV errors per K in `cv_errors`, and LASSO fits the penalty
-    of their support in `lasso_lambda`. Every field is immutable, arrays
-    included, so a fit kept on a sample cannot change.
+    of their support in `lasso_lambda`. Every field is immutable: its arrays
+    are read-only copies made on construction, and its basis holds only
+    read-only arrays too, so a fit kept on a sample cannot change.
     """
 
     method_tag: str
@@ -231,7 +229,7 @@ class FunctionalSlope:
 
 
 @dataclass(frozen=True)
-class ObservanceModel:
+class ObservanceModel(ReadOnlyArrays):
     """Nadaraya-Watson estimate of the observance probability p(X)."""
 
     bandwidth: float
@@ -285,11 +283,12 @@ def _first_stage_limit(ob: FpcBasis, sample: MarSample) -> int:
 
     Without one of n_obs observed pairs, a fit on n_obs - 1 columns has as
     many parameters as rows: its leverages are 1 and its CV error is round-off
-    over the leverage floor. So K stops at n_obs - 2 (at least 1); the
-    second stage, refit over all n rows, keeps its limit of n_obs - 1. A
-    sample has at least two observed pairs and a basis at least one column.
+    over the leverage floor. So K stops at n_obs - 2; the second stage, refit
+    over all n rows, keeps its limit of n_obs - 1. A sample has at least
+    three observed pairs and a basis at least one column, so the limit is at
+    least 1.
     """
-    return min(ob.k_max, max(1, sample.n_obs - 2))
+    return min(ob.k_max, sample.n_obs - 2)
 
 
 def _joint_cv_table(sample: MarSample, basis: FpcBasis,
@@ -349,7 +348,7 @@ def _normalized_inverse_probabilities(sample: MarSample, observance: ObservanceM
     asymptotic target. Entries at unobserved rows are zero.
     """
     inv_p = np.where(sample.r, 1.0 / observance.fitted_probabilities, 0.0)
-    return _read_only(inv_p / inv_p[sample.r].mean())
+    return inv_p / inv_p[sample.r].mean()
 
 
 def _median(values: np.ndarray) -> float:
@@ -399,8 +398,7 @@ def fit_observance(sample: MarSample) -> ObservanceModel:
         if best is None or err < best[0]:
             best = (err, h, weighted, total)
     _, h, weighted, total = best
-    return ObservanceModel(bandwidth=h,
-                           fitted_probabilities=_read_only(np.clip(weighted / total, EPS_P, 1.0)))
+    return ObservanceModel(bandwidth=h, fitted_probabilities=np.clip(weighted / total, EPS_P, 1.0))
 
 
 def _sample_observance(sample: MarSample) -> ObservanceModel:
@@ -416,9 +414,9 @@ def _ols_slope(tag: str, basis: FpcBasis, indices, y: np.ndarray,
     return FunctionalSlope(
         method_tag=tag,
         indices=tuple(int(i) for i in indices),
-        coefficients=_read_only(coef),
+        coefficients=coef,
         basis=basis,
-        curve=_read_only(coef @ basis.eigenfunctions[cols]),
+        curve=coef @ basis.eigenfunctions[cols],
         response_center=float(response_center),
         alpha=float(alpha),
         **fields,
@@ -501,7 +499,7 @@ def _fit_pipeline(sample: MarSample, basis: FpcBasis, tag: str, seed: int) -> Fu
     else:
         k_eff = _first_stage_limit(ob, sample)
         loo_resid = _loo_residuals(ob.scores[:, :k_eff], ob.eigenvalues[:k_eff], ytilde)
-        errors = _read_only(np.sum(loo_resid**2, axis=0))
+        errors = np.sum(loo_resid**2, axis=0)
         k_s = _first_cv_minimum(errors, ytilde) + 1
         first = _ols_slope(first_tag, ob, range(1, k_s + 1), ytilde, ybar, cv_errors=errors)
     if not two_stage:

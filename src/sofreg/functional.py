@@ -7,7 +7,7 @@ reduce to fixed-weight dot products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,27 @@ GRID_SPACING_RTOL = 1e-9
 DEFAULT_VAR_CUTOFF = 0.005
 
 
+def read_only(array, dtype=None) -> np.ndarray:
+    """A read-only copy of `array` (as `dtype`, if given); `array` stays as it was.
+
+    Every array field of a value object is built through it, so no caller's
+    array is frozen in place, and no later write to one reaches the object.
+    """
+    copy = np.array(array, dtype=dtype)
+    copy.setflags(write=False)
+    return copy
+
+
+class ReadOnlyArrays:
+    """Base of a frozen dataclass whose ndarray fields become `read_only` copies."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, f.name, read_only(value))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Equidistant abscissae in [a, b] with trapezoid quadrature weights."""
@@ -28,7 +49,7 @@ class Grid:
     spacing: float = field(init=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = read_only(self.points, float)
         if pts.ndim != 1 or pts.size < 3:
             raise GridMismatchError("grid needs at least 3 points")
         if not np.all(np.isfinite(pts)):
@@ -39,7 +60,6 @@ class Grid:
         mean_step = float(diffs.mean())
         if np.max(np.abs(diffs - mean_step)) > GRID_SPACING_RTOL * mean_step:
             raise GridMismatchError("only equidistant grids are supported")
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "spacing", mean_step)
 
@@ -68,14 +88,13 @@ class FunctionalSample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
+        vals = np.atleast_2d(read_only(self.values, float))
         if vals.shape[1] != self.grid.n_points:
             raise GridMismatchError(
                 f"curves have {vals.shape[1]} columns, grid has {self.grid.n_points} points"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("curve values must be finite")
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -96,10 +115,11 @@ class FunctionalSample:
 
 
 @dataclass(frozen=True, eq=False)
-class FpcBasis:
+class FpcBasis(ReadOnlyArrays):
     """Eigenstructure of the sample covariance operator (1/n normalization).
 
     A basis compares and hashes by identity, so it can key per-basis memos.
+    Its arrays are read-only copies of those it was given.
 
     Attributes
     ----------
@@ -212,8 +232,6 @@ def fpc_decompose(
             eigenfunctions[k] = -eigenfunctions[k]
             scores[:, k] = -scores[:, k]
 
-    eigenfunctions.setflags(write=False)
-    scores.setflags(write=False)
     return FpcBasis(
         grid=sample.grid,
         eigenvalues=eigenvalues[:k_max],

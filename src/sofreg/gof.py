@@ -36,7 +36,7 @@ import numpy as np
 
 from .estimators import FunctionalSlope, MarSample, fit_slope
 from .exceptions import ConfigError, GridMismatchError, NumericalError, check_seed
-from .functional import FpcBasis
+from .functional import FpcBasis, ReadOnlyArrays
 
 #: Relative tolerance under which two score vectors count as coincident.
 SCORE_COINCIDENCE_RTOL = 1e-12
@@ -54,7 +54,7 @@ GOLDEN_P_LOW = (5.0 + math.sqrt(5.0)) / 10.0
 
 
 @dataclass(frozen=True)
-class AMatrix:
+class AMatrix(ReadOnlyArrays):
     """Closed-form projection-integral matrix for a block of score rows."""
 
     values: np.ndarray
@@ -65,7 +65,7 @@ class AMatrix:
 
 
 @dataclass(frozen=True)
-class GofResult:
+class GofResult(ReadOnlyArrays):
     """Observed statistic, bootstrap replicates, and the resulting p-value of
     the test of `slope`, the fit whose tag and selection were tested."""
 
@@ -251,9 +251,7 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     np.fill_diagonal(total, np.pi * (n_s + weights))
 
     total *= np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
-    values = total[np.ix_(point, point)]
-    values.setflags(write=False)
-    return AMatrix(values=values)
+    return AMatrix(values=total[np.ix_(point, point)])
 
 
 def pcvm_statistic(residual_vector: np.ndarray, a: AMatrix) -> float:

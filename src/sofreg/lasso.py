@@ -15,7 +15,8 @@ orthogonal, so no two are equal. A design with two equal columns is outside
 this contract: once both are active the padded Gram matrix is singular, so
 `lasso_select` may raise `numpy.linalg.LinAlgError` (which `mc` counts as a
 replicate failure), and a support it does return may split the pair
-arbitrarily.
+arbitrarily. A design needs at least three rows, so that every CV fold
+trains on two or more; a `MarSample` has at least three observed pairs.
 
 The score designs have a handful of columns, so a path has a few kinks and
 each costs one small solve; the cost is in numpy calls, not arithmetic.
@@ -44,7 +45,7 @@ from .exceptions import check_seed
 N_LAMBDAS = 100
 LAMBDA_MIN_RATIO = 1e-4
 
-#: Cross-validation folds of `lasso_select` (fewer when n is smaller).
+#: Cross-validation folds of `lasso_select` (n of them when n is smaller).
 FOLDS = 10
 
 #: The penalty grid over lambda_max: descending log spacing from 1 to
@@ -189,13 +190,17 @@ def lasso_select(
     Returns 1-based column indices of the support at the most penalized
     lambda whose CV error is within one standard error of the minimum,
     with {1} as the fallback for an empty support. `seed` draws the fold
-    assignment; None or a negative one is refused (`check_seed`).
+    assignment; None or a negative one is refused (`check_seed`). It needs
+    at least 3 rows: with 2, each fold trains on one row, whose centred
+    columns are all zero.
     """
     check_seed(seed)
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     n = y.size
-    folds = max(2, min(FOLDS, n))
+    if n < 3:
+        raise ValueError(f"the LASSO cross-validation needs at least 3 rows, got {n}")
+    folds = min(FOLDS, n)
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(n) % folds
 

@@ -171,7 +171,9 @@ def generate_dataset(config: DgpConfig, seed):
     dataset is reproducible. The MarSample's unobserved responses are NaN;
     `full_y` keeps the values before masking so complete-data benchmarks and
     oracle checks can use them. The true slope is beta_j of `config` on its
-    grid; the other settings it was drawn with are those of `config`.
+    grid; the other settings it was drawn with are those of `config`. A
+    draw that leaves fewer than three responses observed keeps the three
+    largest-norm curves observed, the fewest a MarSample takes.
     """
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -182,9 +184,8 @@ def generate_dataset(config: DgpConfig, seed):
         r = np.ones(config.n, dtype=bool)
     else:
         r = gen_missing(x, config.eta, rng)
-    if int(r.sum()) < 2:  # pathological draw; keep the two largest-norm curves observed
-        r = r.copy()
-        r[np.argsort(x.sq_norms())[-2:]] = True
+    if int(r.sum()) < 3:  # pathological draw; keep the three largest-norm curves observed
+        r[np.argsort(x.sq_norms())[-3:]] = True
     masked = np.where(r, full_y, np.nan)
     return MarSample(x, masked, r), full_y, beta_curve(config.beta_id, grid)
 
@@ -290,7 +291,8 @@ def mc_experiment(
     b: int,
     alpha: float = 0.05,
     estimators: tuple[str, ...] = METHOD_TAGS,
-    seed: int | None = None,
+    *,
+    seed: int,
     threads: int = 1,
 ) -> McReport:
     """Run m replicates of generate -> fit -> test over each configuration.

@@ -23,8 +23,8 @@ def make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.0, sigma_eps=0.1, seed=0)
     x = gen_ou_sample(n, GRID, rng)
     y = gen_responses(x, beta_id, delta, sigma_eps, rng)
     r = gen_missing(x, eta, rng) if eta is not None else np.ones(n, dtype=bool)
-    if r.sum() < 2:
-        r[np.argsort((x.values**2) @ GRID.quad_weights)[-2:]] = True
+    if r.sum() < 3:
+        r[np.argsort((x.values**2) @ GRID.quad_weights)[-3:]] = True
     sample = MarSample(x, np.where(r, y, np.nan), r)
     basis = fpc_decompose(x)
     return sample, basis, y
@@ -44,8 +44,8 @@ def make_score_linear_sample(coeffs, n=80, seed=0, sigma=0.0, eta=None):
         r = np.ones(n, dtype=bool)
     else:
         r = gen_missing(x, eta, rng)
-        if r.sum() < 2:
-            r[:2] = True
+        if r.sum() < 3:
+            r[:3] = True
     sample = MarSample(x, np.where(r, y, np.nan), r)
     return sample, basis
 

@@ -135,7 +135,7 @@ def completed_ipw_responses(sample, slope, observance):
 
 def residuals(sample, slope):
     """Residuals of `slope` over the observed pairs only, ordered by observed index."""
-    ytilde = sample.y_observed - sample.observed_mean
+    ytilde = sample.y[sample.r] - sample.observed_mean
     return ytilde - slope.predict_centered(slope.observed_scores(sample))
 
 

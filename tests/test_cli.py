@@ -188,9 +188,10 @@ class TestFit:
         assert code == 3
 
     @pytest.mark.parametrize("rows, message", [
-        (["1.5,1"] + ["NA,0"] * 59, "need at least 2 observed responses"),
+        (["1.5,1"] + ["NA,0"] * 59, "need at least 3 observed responses"),
+        (["1.5,1", "2.5,1"] + ["NA,0"] * 58, "need at least 3 observed responses"),
         (["nan,1"] + ["1.5,1"] * 59, "observed responses must be finite"),
-    ], ids=["one-observed", "nan-observed"])
+    ], ids=["one-observed", "two-observed", "nan-observed"])
     def test_unusable_responses_are_config_errors(self, noiseless_dataset, tmp_path, capsys,
                                                    rows, message):
         responses = tmp_path / "responses.csv"

@@ -269,7 +269,7 @@ class TestImputation:
     def test_mostly_missing_uses_predictions(self):
         sample, basis = make_score_linear_sample({1: 1.0}, n=20, seed=12)
         r = np.zeros(20, dtype=bool)
-        r[[3, 11]] = True
+        r[[3, 11, 16]] = True
         masked = MarSample(sample.x, np.where(r, sample.y, np.nan), r)
         slope = fit_slope(masked, basis, "S")
         completed = impute_responses(masked, slope)
@@ -344,7 +344,7 @@ class TestSecondStage:
         assert first.first_stage is None and first.basis.n == sample.n_obs
         np.testing.assert_allclose(
             first.coefficients,
-            ols_fpc_coefficients(first.basis, sample.y_observed, first.indices,
+            ols_fpc_coefficients(first.basis, sample.y[sample.r], first.indices,
                                  np.arange(sample.n_obs)),
             rtol=1e-9, atol=1e-10,
         )
@@ -609,10 +609,10 @@ class TestDeterminism:
 
 
 class TestObservedView:
-    VIEW = ("observed_index", "n_obs", "y_observed", "observed_mean", "y_centered")
+    VIEW = ("observed_index", "n_obs", "observed_mean", "y_centered")
 
     @settings(max_examples=60, deadline=None)
-    @given(mask=st.lists(st.booleans(), min_size=2, max_size=40).filter(lambda m: sum(m) >= 2),
+    @given(mask=st.lists(st.booleans(), min_size=3, max_size=40).filter(lambda m: sum(m) >= 3),
            seed=st.integers(0, 2**31 - 1))
     def test_property_each_field_is_its_definition_derived_once_and_read_only(self, mask, seed):
         rng = np.random.default_rng(seed)
@@ -622,7 +622,6 @@ class TestObservedView:
         definitions = {
             "observed_index": np.flatnonzero(r),
             "n_obs": int(np.count_nonzero(r)),
-            "y_observed": y[r],
             "observed_mean": float(np.mean(y[r])),
             "y_centered": y[r] - float(np.mean(y[r])),
         }

@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_mar_dataset
 from oracles import inner_product, norm, reconstruct, svd_fpc_decompose
+from sofreg.estimators import fit_observance, fit_slope
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
 from sofreg.functional import FunctionalSample, Grid, fpc_decompose, project_scores
+from sofreg.gof import build_a_matrix, wild_bootstrap_test
 
 GRID = Grid.regular(0.0, 1.0, 201)
 T = GRID.points
@@ -249,3 +254,71 @@ class TestBasisInvariants:
         centered = sample.values - sample.values.mean(axis=0)
         avg_sq_norm = float(np.mean((centered**2) @ small_grid.quad_weights))
         assert float(basis.eigenvalues.sum()) == pytest.approx(avg_sq_norm, rel=1e-10)
+
+
+def array_fields(value) -> dict:
+    """The ndarray fields of a dataclass value, by name."""
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    return {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
+
+
+class TestReadOnlyValues:
+    """Every array field of a value object is a read-only copy of the array it was given."""
+
+    @staticmethod
+    def built(name):
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        assert sample.n_obs < sample.n
+        # W holds IPW weights and a first stage (an S fit, with CV errors)
+        return {
+            "Grid": lambda: sample.x.grid,
+            "FunctionalSample": lambda: sample.x,
+            "FpcBasis": lambda: basis,
+            "MarSample": lambda: sample,
+            "FunctionalSlope": lambda: fit_slope(sample, basis, "W"),
+            "ObservanceModel": lambda: fit_observance(sample),
+            "AMatrix": lambda: build_a_matrix(basis.scores[:, :2]),
+            "GofResult": lambda: wild_bootstrap_test(sample, basis, "W", b=5),
+        }[name]()
+
+    VALUES = ("Grid", "FunctionalSample", "FpcBasis", "MarSample", "FunctionalSlope",
+              "ObservanceModel", "AMatrix", "GofResult")
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_every_array_field_is_read_only(self, name):
+        value = self.built(name)
+        assert type(value).__name__ == name
+        nested = [value, getattr(value, "slope", None), getattr(value, "first_stage", None)]
+        arrays = {}
+        for item in (v for v in nested if v is not None):
+            arrays |= {f"{type(item).__name__}.{k}": v for k, v in array_fields(item).items()}
+        assert arrays
+        for label, array in arrays.items():
+            assert not array.flags.writeable, label
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_construction_neither_freezes_nor_shares_the_callers_arrays(self, name):
+        value = self.built(name)
+        given = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+        given = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in given.items()}
+        copy = type(value)(**given)
+        for key, array in given.items():
+            if isinstance(array, np.ndarray):
+                assert array.flags.writeable, key
+                kept = getattr(copy, key)
+                assert not kept.flags.writeable and not np.shares_memory(kept, array), key
+                np.testing.assert_array_equal(kept, array)
+
+    def test_the_basis_of_a_kept_fit_cannot_change(self):
+        # writing to the basis of a kept fit would change its predictions and
+        # every later fit_slope call that returns it from the sample's memo
+        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        slope = fit_slope(sample, basis, "I")
+        for fit in (slope, slope.first_stage):
+            for array in (fit.basis.eigenvalues, fit.basis.mean_curve,
+                          fit.basis.eigenfunctions, fit.basis.scores):
+                with pytest.raises(ValueError):
+                    array += 1.0
+        assert fit_slope(sample, basis, "I") is slope

@@ -58,7 +58,7 @@ class TestResiduals:
         )
         eps = residuals(sample, zeroed)
         np.testing.assert_allclose(
-            eps, sample.y_observed - sample.observed_mean, atol=1e-12
+            eps, sample.y[sample.r] - sample.observed_mean, atol=1e-12
         )
 
     def test_residual_scale_tracks_noise(self):
@@ -397,7 +397,7 @@ class TestWildBootstrap:
         # residuals near 1e-8 of it are tested, near 1e-12 of it are not
         coeffs = {1: 1.5, 2: -0.8}
         clean, basis = make_score_linear_sample(coeffs, n=40, seed=13)
-        spread = float(np.max(np.abs(clean.y_observed - clean.observed_mean)))
+        spread = float(np.max(np.abs(clean.y[clean.r] - clean.observed_mean)))
         sample, _ = make_score_linear_sample(coeffs, n=40, seed=13, sigma=relative * spread)
         eps = residuals(sample, fit_slope(sample, basis, "S"))
         assert relative / 10 <= np.max(np.abs(eps)) / spread <= 10 * relative
@@ -479,7 +479,7 @@ class TestWildBootstrap:
             scale = abs(a) * np.abs(slope.coefficients).max()
             np.testing.assert_allclose(image.coefficients, a * slope.coefficients,
                                        rtol=1e-10, atol=1e-10 * scale)
-            y_scale = abs(a) * np.abs(target.y_observed).max() + abs(c)
+            y_scale = abs(a) * np.abs(target.y[target.r]).max() + abs(c)
             assert image.intercept == pytest.approx(a * slope.intercept + c,
                                                     rel=1e-10, abs=1e-10 * y_scale)
             test = wild_bootstrap_test(target, basis, tag, b=19, **kwargs)

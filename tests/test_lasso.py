@@ -366,6 +366,12 @@ class TestLassoSelect:
             np.fill_diagonal(cos, 0.0)
             assert cos.max() <= 1e-12
 
+    def test_fewer_than_three_rows_are_refused(self):
+        # two rows make two folds of one training row each, whose centred
+        # columns are all zero
+        with pytest.raises(ValueError, match="needs at least 3 rows, got 2"):
+            lasso_select(np.array([[1.0, 0.5], [-1.0, 0.5]]), np.array([0.5, -0.5]), seed=0)
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(7)
         x, y = random_design(rng, n=50)

@@ -221,13 +221,13 @@ class TestDgpConfig:
                                           by_int.x.values)
         generate_dataset(config, [5, 2])
 
-    def test_fewer_than_two_observed_keeps_the_two_largest_norm_curves(self, monkeypatch):
+    def test_fewer_than_three_observed_keeps_the_three_largest_norm_curves(self, monkeypatch):
         monkeypatch.setattr(simulation, "gen_missing",
                             lambda x, eta, rng: np.zeros(x.n, dtype=bool))
         sample, full_y, _ = generate_dataset(DgpConfig(beta_id=2, eta=1.0, n=20), 4)
-        top_two = np.sort(np.argsort(sample.x.sq_norms())[-2:])
-        np.testing.assert_array_equal(sample.observed_index, top_two)
-        np.testing.assert_array_equal(sample.y_observed, full_y[top_two])
+        top_three = np.sort(np.argsort(sample.x.sq_norms())[-3:])
+        np.testing.assert_array_equal(sample.observed_index, top_three)
+        np.testing.assert_array_equal(sample.y[sample.r], full_y[top_three])
 
     def test_generate_dataset_masks_missing(self):
         config = DgpConfig(beta_id=3, eta=0.5, n=40)
@@ -249,6 +249,13 @@ class TestMcExperiment:
         cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
         with pytest.raises(ConfigError, match="a seed is required"):
             mc_experiment([cfg], m=1, b=10, seed=None)
+
+    def test_seed_is_a_required_keyword(self):
+        cfg = DgpConfig(beta_id=1, eta=1.0, n=40)
+        with pytest.raises(TypeError, match="required keyword-only argument: 'seed'"):
+            mc_experiment([cfg], m=1, b=10)
+        with pytest.raises(TypeError):
+            mc_experiment([cfg], 1, 10, 0.05, ("S",), 3)
 
     def test_refuses_a_negative_seed_before_any_replicate(self, monkeypatch):
         runs = count_calls(monkeypatch, simulation, "_run_replicate")
