@@ -60,10 +60,6 @@ EXIT_PARSE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-#: Scaled harness profile (full scale via --full-scale).
-SCALED_M, SCALED_B = 200, 500
-FULL_M, FULL_B = 1000, 1000
-
 _DGP_DEFAULTS = {f.name: f.default for f in dataclasses.fields(DgpConfig)}
 
 
@@ -80,19 +76,24 @@ def _float_or_none(token: str) -> float | None:
 
 @dataclasses.dataclass(frozen=True)
 class McSetting:
-    """One `mc` setting: its `--flag` and its config-file key are `name`."""
+    """One `mc` setting: its `--flag` and its config-file key are `name`.
+
+    `default` is the value taken when neither a flag nor a file line gives
+    one, or a function of no arguments that returns it (`threads` uses
+    `_default_threads`, the cores this process may run on).
+    """
 
     name: str
     convert: Callable[[str], object]  # a ValueError rejects the token
     many: bool  # a list of values (nargs="+", comma-separated in the file)
-    default: object  # the value, or a function of the parsed arguments
+    default: object
 
     def resolve(self, args, from_file: dict):
         value = getattr(args, self.name)
         if value is None:
             value = from_file.get(self.name, self.default)
             if callable(value):
-                value = value(args)
+                value = value()
         return value
 
 
@@ -103,11 +104,11 @@ MC_SETTINGS = (
     McSetting("n", int, True, (100,)),
     McSetting("delta", float, True, (0.0,)),
     McSetting("estimators", str.upper, True, METHOD_TAGS),
-    McSetting("m", int, False, lambda args: FULL_M if args.full_scale else SCALED_M),
-    McSetting("bootstrap", int, False, lambda args: FULL_B if args.full_scale else SCALED_B),
+    McSetting("m", int, False, 200),
+    McSetting("bootstrap", int, False, 500),
     McSetting("alpha", float, False, 0.05),
     McSetting("seed", int, False, None),
-    McSetting("threads", int, False, lambda args: _default_threads()),
+    McSetting("threads", int, False, _default_threads),
     McSetting("grid_points", int, False, _DGP_DEFAULTS["grid_points"]),
     McSetting("sigma_eps", float, False, _DGP_DEFAULTS["sigma_eps"]),
 )
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="draw a synthetic dataset")
     sim.add_argument("--beta-id", type=int, default=3)
-    for name, convert in (("n", int), ("delta", float), ("eta", float),
+    for name, convert in (("n", int), ("delta", float), ("eta", _float_or_none),
                           ("sigma_eps", float), ("grid_points", int)):
         sim.add_argument("--" + name.replace("_", "-"), type=convert,
                          default=_DGP_DEFAULTS[name])
@@ -316,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     for s in MC_SETTINGS:
         mc.add_argument("--" + s.name.replace("_", "-"), type=s.convert,
                         nargs="+" if s.many else None)
-    mc.add_argument("--full-scale", action="store_true",
-                    help="M=1000, B=1000 instead of the scaled profile")
     mc.add_argument("--plots", action="store_true")
     mc.add_argument("--out", required=True)
     mc.set_defaults(func=cmd_mc)

@@ -54,7 +54,6 @@ from .functional import (
     ReadOnlyArrays,
     fpc_decompose,
     project_scores,
-    read_only,
 )
 from .lasso import lasso_select
 
@@ -71,8 +70,8 @@ METHOD_TAGS = ("C", "CL", "S", "SL", "I", "IL", "W", "WL")
 CV_TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MarSample:
+@dataclass(frozen=True, eq=False)
+class MarSample(ReadOnlyArrays):
     """Curves, responses, and observance indicators (X_i, Y_i, R_i).
 
     `y` entries are meaningful only where `r` is True; unobserved entries
@@ -81,18 +80,20 @@ class MarSample:
     training fold with a nonzero column. The observed view is derived once,
     on construction: the indices of the observed pairs, their count, the
     mean of their responses and those responses centered by it,
-    `y_centered`, on which every fit works. `y`, `r` and the view's arrays
-    are read-only copies, so the caller's arrays stay writeable.
+    `y_centered`, on which every fit works. A value class
+    (`ReadOnlyArrays`): a sample compares and hashes by identity, and `y`,
+    `r` and the view's arrays are read-only copies, so the caller's arrays
+    stay writeable.
     """
 
     x: FunctionalSample
     y: np.ndarray
     r: np.ndarray
-    observed_index: np.ndarray = field(init=False, repr=False, compare=False)
-    n_obs: int = field(init=False, repr=False, compare=False)
-    observed_mean: float = field(init=False, repr=False, compare=False)
-    y_centered: np.ndarray = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    observed_index: np.ndarray = field(init=False, repr=False)
+    n_obs: int = field(init=False, repr=False)
+    observed_mean: float = field(init=False, repr=False)
+    y_centered: np.ndarray = field(init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -107,10 +108,10 @@ class MarSample:
             raise ValueError("observed responses must be finite")
         observed_mean = float(y_observed.mean())
         for name, value in (("y", y), ("r", r), ("observed_index", observed_index),
+                            ("n_obs", observed_index.size), ("observed_mean", observed_mean),
                             ("y_centered", y_observed - observed_mean)):
-            object.__setattr__(self, name, read_only(value))
-        object.__setattr__(self, "n_obs", observed_index.size)
-        object.__setattr__(self, "observed_mean", observed_mean)
+            object.__setattr__(self, name, value)
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -151,7 +152,7 @@ def _missing_scores(sample: MarSample, basis: FpcBasis) -> np.ndarray:
                            lambda: project_scores(basis, sample.x.values[~sample.r]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalSlope(ReadOnlyArrays):
     """A fitted slope: coefficients on a set of FPC indices plus its curve.
 
@@ -228,7 +229,7 @@ class FunctionalSlope(ReadOnlyArrays):
         return ystar - alpha[:, None] - coef @ self.observed_scores(sample)[:, cols].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservanceModel(ReadOnlyArrays):
     """Nadaraya-Watson estimate of the observance probability p(X)."""
 

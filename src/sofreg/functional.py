@@ -20,36 +20,34 @@ GRID_SPACING_RTOL = 1e-9
 DEFAULT_VAR_CUTOFF = 0.005
 
 
-def read_only(array, dtype=None) -> np.ndarray:
-    """A read-only copy of `array` (as `dtype`, if given); `array` stays as it was.
-
-    Every array field of a value object is built through it, so no caller's
-    array is frozen in place, and no later write to one reaches the object.
-    """
-    copy = np.array(array, dtype=dtype)
-    copy.setflags(write=False)
-    return copy
-
-
 class ReadOnlyArrays:
-    """Base of a frozen dataclass whose ndarray fields become `read_only` copies."""
+    """Base of a value class: a frozen dataclass that compares and hashes by identity.
+
+    Declare the subclass `@dataclass(frozen=True, eq=False)`. Its
+    `__post_init__` replaces each ndarray field by a read-only copy, so no
+    caller's array is frozen in place, and no later write to one reaches the
+    object. A subclass that converts or checks its arrays does so first and
+    then calls `super().__post_init__()`.
+    """
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.ndarray):
-                object.__setattr__(self, f.name, read_only(value))
+                copy = np.array(value)  # keeps the memory order; ndarray.copy would not
+                copy.setflags(write=False)
+                object.__setattr__(self, f.name, copy)
 
 
-@dataclass(frozen=True)
-class Grid:
+@dataclass(frozen=True, eq=False)
+class Grid(ReadOnlyArrays):
     """Equidistant abscissae in [a, b] with trapezoid quadrature weights."""
 
     points: np.ndarray
     spacing: float = field(init=False)
 
     def __post_init__(self):
-        pts = read_only(self.points, float)
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise GridMismatchError("grid needs at least 3 points")
         if not np.all(np.isfinite(pts)):
@@ -62,6 +60,7 @@ class Grid:
             raise GridMismatchError("only equidistant grids are supported")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "spacing", mean_step)
+        super().__post_init__()
 
     @classmethod
     def regular(cls, a: float = 0.0, b: float = 1.0, n_points: int = 201) -> "Grid":
@@ -80,15 +79,15 @@ class Grid:
         return w
 
 
-@dataclass(frozen=True)
-class FunctionalSample:
+@dataclass(frozen=True, eq=False)
+class FunctionalSample(ReadOnlyArrays):
     """n discretized curves (rows) on a shared grid."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_2d(read_only(self.values, float))
+        vals = np.atleast_2d(np.asarray(self.values, dtype=float))
         if vals.shape[1] != self.grid.n_points:
             raise GridMismatchError(
                 f"curves have {vals.shape[1]} columns, grid has {self.grid.n_points} points"
@@ -96,6 +95,7 @@ class FunctionalSample:
         if not np.all(np.isfinite(vals)):
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "values", vals)
+        super().__post_init__()
 
     @property
     def n(self) -> int:
@@ -118,8 +118,9 @@ class FunctionalSample:
 class FpcBasis(ReadOnlyArrays):
     """Eigenstructure of the sample covariance operator (1/n normalization).
 
-    A basis compares and hashes by identity, so it can key per-basis memos.
-    Its arrays are read-only copies of those it was given.
+    A value class (`ReadOnlyArrays`): it compares and hashes by identity, so
+    it can key per-basis memos, and its arrays are read-only copies of those
+    it was given.
 
     Attributes
     ----------

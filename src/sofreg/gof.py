@@ -53,7 +53,7 @@ GOLDEN_HIGH = (1.0 + math.sqrt(5.0)) / 2.0
 GOLDEN_P_LOW = (5.0 + math.sqrt(5.0)) / 10.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AMatrix(ReadOnlyArrays):
     """Closed-form projection-integral matrix for a block of score rows."""
 
@@ -64,7 +64,7 @@ class AMatrix(ReadOnlyArrays):
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GofResult(ReadOnlyArrays):
     """Observed statistic, bootstrap replicates, and the resulting p-value of
     the test of `slope`, the fit whose tag and selection were tested."""

@@ -190,7 +190,7 @@ def generate_dataset(config: DgpConfig, seed):
     return MarSample(x, masked, r), full_y, beta_curve(config.beta_id, grid)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CellResult:
     """Aggregates over the replicates of one cell, the configuration `config`."""
 
@@ -205,7 +205,7 @@ class CellResult:
     missing_fraction: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class McReport:
     """Full harness output across a grid of cells, which share grid_points and sigma_eps."""
 

@@ -1,8 +1,11 @@
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,15 @@ class TestSimulate:
         assert run(["simulate", "--n", 30, f"{flag}={value}", "--seed", 1, "--out", out]) == 3
         assert f"{name} must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_eta_none_draws_the_fully_observed_sample_of_no_eta(self, tmp_path):
+        # --eta none is the default, as it is a cell of mc --eta
+        for label, extra in (("none", ["--eta", "none"]), ("default", [])):
+            assert run(["simulate", "--n", 30, *extra, "--seed", 4,
+                        "--out", tmp_path / label]) == 0
+        for name in ("curves.csv", "responses.csv", "truth.json"):
+            assert ((tmp_path / "none" / name).read_bytes()
+                    == (tmp_path / "default" / name).read_bytes()), name
 
     def test_out_of_range_beta_id_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -496,6 +508,16 @@ class TestParser:
         for _ in range(2):
             assert run(["mc", "--beta-id", 1, "--m", 1, "--out", tmp_path / "x"]) == 3
         assert cli.build_parser.cache_info().misses == 1
+
+    def test_every_command_of_the_readme_parses(self):
+        # parsed only, never run: a flag removed from the parser cannot stay in the docs
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("sofreg ")]
+        assert {argv[0] for argv in commands} == {"simulate", "fit", "test", "mc"}
+        for argv in commands:
+            assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 class TestDefaultThreads:

@@ -11,6 +11,7 @@ from sofreg.estimators import fit_observance, fit_slope
 from sofreg.exceptions import DegenerateSampleError, GridMismatchError
 from sofreg.functional import FunctionalSample, Grid, fpc_decompose, project_scores
 from sofreg.gof import build_a_matrix, wild_bootstrap_test
+from sofreg.simulation import CellResult, DgpConfig, McReport
 
 GRID = Grid.regular(0.0, 1.0, 201)
 T = GRID.points
@@ -262,31 +263,42 @@ def array_fields(value) -> dict:
     return {name: v for name, v in fields.items() if isinstance(v, np.ndarray)}
 
 
+def built_value(name):
+    """One object of the value class `name`, built as the library builds it."""
+    sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+    assert sample.n_obs < sample.n
+
+    def cell():
+        return CellResult(DgpConfig(beta_id=1), failures={"S": 0}, rejection={"S": 0.5},
+                          msee_mean={"S": 0.1}, time_mean={"S": 0.01},
+                          p_values={"S": np.array([0.02, 0.7])}, msee={"S": np.array([0.1, 0.1])},
+                          times={"S": np.array([0.01, 0.01])}, missing_fraction=0.25)
+
+    # W holds IPW weights and a first stage (an S fit, with CV errors)
+    return {
+        "Grid": lambda: sample.x.grid,
+        "FunctionalSample": lambda: sample.x,
+        "FpcBasis": lambda: basis,
+        "MarSample": lambda: sample,
+        "FunctionalSlope": lambda: fit_slope(sample, basis, "W"),
+        "ObservanceModel": lambda: fit_observance(sample),
+        "AMatrix": lambda: build_a_matrix(basis.scores[:, :2]),
+        "GofResult": lambda: wild_bootstrap_test(sample, basis, "W", b=5),
+        "CellResult": cell,
+        "McReport": lambda: McReport(alpha=0.05, m=2, b=10, seed=1, estimators=("S",),
+                                     cells=[cell()]),
+    }[name]()
+
+
 class TestReadOnlyValues:
     """Every array field of a value object is a read-only copy of the array it was given."""
-
-    @staticmethod
-    def built(name):
-        sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
-        assert sample.n_obs < sample.n
-        # W holds IPW weights and a first stage (an S fit, with CV errors)
-        return {
-            "Grid": lambda: sample.x.grid,
-            "FunctionalSample": lambda: sample.x,
-            "FpcBasis": lambda: basis,
-            "MarSample": lambda: sample,
-            "FunctionalSlope": lambda: fit_slope(sample, basis, "W"),
-            "ObservanceModel": lambda: fit_observance(sample),
-            "AMatrix": lambda: build_a_matrix(basis.scores[:, :2]),
-            "GofResult": lambda: wild_bootstrap_test(sample, basis, "W", b=5),
-        }[name]()
 
     VALUES = ("Grid", "FunctionalSample", "FpcBasis", "MarSample", "FunctionalSlope",
               "ObservanceModel", "AMatrix", "GofResult")
 
     @pytest.mark.parametrize("name", VALUES)
     def test_every_array_field_is_read_only(self, name):
-        value = self.built(name)
+        value = built_value(name)
         assert type(value).__name__ == name
         nested = [value, getattr(value, "slope", None), getattr(value, "first_stage", None)]
         arrays = {}
@@ -300,7 +312,7 @@ class TestReadOnlyValues:
 
     @pytest.mark.parametrize("name", VALUES)
     def test_construction_neither_freezes_nor_shares_the_callers_arrays(self, name):
-        value = self.built(name)
+        value = built_value(name)
         given = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
         given = {k: np.array(v) if isinstance(v, np.ndarray) else v for k, v in given.items()}
         copy = type(value)(**given)
@@ -322,3 +334,28 @@ class TestReadOnlyValues:
                 with pytest.raises(ValueError):
                     array += 1.0
         assert fit_slope(sample, basis, "I") is slope
+
+
+class TestIdentity:
+    """A value object compares and hashes by identity; configurations compare by value."""
+
+    @pytest.mark.parametrize("name", TestReadOnlyValues.VALUES + ("CellResult", "McReport"))
+    def test_equal_inputs_build_distinct_hashable_objects(self, name):
+        value = built_value(name)
+        given = {f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init}
+        a, b = type(value)(**given), type(value)(**given)
+        assert (a == b) is False and (a != b) is True
+        assert a == a and b == b
+        assert hash(a) == hash(a) and hash(b) == hash(b)
+        assert len({a, b}) == 2 and a in {a, b} and b in {a, b}
+
+    @pytest.mark.parametrize("name", ["CellResult", "McReport"])
+    def test_mc_results_refuse_assignment(self, name):
+        value = built_value(name)
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, None)
+
+    def test_a_configuration_compares_by_value(self):
+        assert DgpConfig(beta_id=1, eta=0.5) == DgpConfig(beta_id=1, eta=0.5)
+        assert len({DgpConfig(beta_id=1), DgpConfig(beta_id=1)}) == 1
