@@ -7,7 +7,9 @@ live in one table, `MC_SETTINGS`, from which come the flags, the config-file
 keys, the flag-over-file resolution and the manifest's `config`. The
 library checks every value once, so a flag and a file line that give the
 same value fail alike (exit code 3), as does a file that cannot be read or
-written. Report and manifest formats live in `dataio`; this module only
+written. `main` maps the library's two failure tuples,
+`exceptions.NUMERICAL_FAILURES` and `exceptions.REFUSALS`, to exit codes 4
+and 3. Report and manifest formats live in `dataio`; this module only
 orchestrates.
 """
 
@@ -20,8 +22,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-
-import numpy as np
 
 from . import __version__
 from .blas import single_blas_thread
@@ -43,16 +43,10 @@ from .dataio import (
     write_responses_csv,
 )
 from .estimators import METHOD_TAGS, MarSample, fit_slope
-from .exceptions import (
-    ConfigError,
-    CsvFormatError,
-    DegenerateSampleError,
-    NumericalError,
-    SofregError,
-)
+from .exceptions import NUMERICAL_FAILURES, REFUSALS, ConfigError, CsvFormatError
 from .functional import DEFAULT_VAR_CUTOFF, fpc_decompose
 from .gof import wild_bootstrap_test
-from .simulation import DgpConfig, generate_dataset, mc_experiment
+from .simulation import DgpConfig, check_mc_run, generate_dataset, mc_experiment
 from .svgplot import curve_plot, density_plot, grouped_boxplot
 
 EXIT_OK = 0
@@ -222,25 +216,14 @@ def cmd_mc(args) -> int:
         for bid in settings["beta_id"] for e in settings["eta"]
         for n in settings["n"] for d in settings["delta"]
     ]
-    # atomic_write_text makes --out too, but only after the study, which may
-    # run for hours: make it first, so that one that cannot be made fails
-    # before the study. Settings that mc_experiment refuses remove every
-    # directory made here again, deepest first.
-    made = []
-    path = os.path.abspath(args.out)
-    while not os.path.isdir(path):
-        made.append(path)
-        path = os.path.dirname(path)
+    study = dict(m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
+                 estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"])
+    # The run is checked first, so a refused one makes nothing. Then --out is
+    # made before the study, which may run for hours, so that one that cannot
+    # be made fails at once (atomic_write_text would make it only after).
+    check_mc_run(configs, **study)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        report = mc_experiment(
-            configs, m=settings["m"], b=settings["bootstrap"], alpha=settings["alpha"],
-            estimators=tuple(settings["estimators"]), seed=seed, threads=settings["threads"],
-        )
-    except SofregError:
-        for path in made:
-            os.rmdir(path)
-        raise
+    report = mc_experiment(configs, **study)
 
     outputs = []
     for name, text in rejection_tables(report):
@@ -331,11 +314,11 @@ def main(argv=None) -> int:
     except CsvFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DegenerateSampleError, NumericalError,
-            np.linalg.LinAlgError, FloatingPointError) as exc:
+    # NUMERICAL_FAILURES first: some of them are also REFUSALS by subclass
+    except NUMERICAL_FAILURES as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, SofregError, OSError) as exc:
+    except REFUSALS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

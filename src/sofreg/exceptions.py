@@ -1,6 +1,19 @@
-"""Exception hierarchy shared across the package, and the seed rule."""
+"""Exception hierarchy shared across the package, the failure rule, and the seed rule.
+
+The failure rule is two tuples. `NUMERICAL_FAILURES` are the errors of a
+computation that ran on accepted inputs: a degenerate sample, a non-finite
+result, a failed factorization, or any `ArithmeticError` (overflow, zero
+division, and `FloatingPointError` under `np.seterr(all="raise")`).
+`REFUSALS` are inputs or settings the library turned down. The `mc`
+harness counts a replicate failure by both; `cli.main` exits 4 on the
+first and 3 on the second, and must test them in that order, because
+`LinAlgError` subclasses `ValueError` and `DegenerateSampleError` and
+`NumericalError` subclass `SofregError`.
+"""
 
 import numbers
+
+import numpy as np
 
 
 class SofregError(Exception):
@@ -30,6 +43,14 @@ class CsvFormatError(SofregError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line, self.message = line, message
+
+
+#: Failures of a computation on accepted inputs; test before REFUSALS.
+NUMERICAL_FAILURES = (DegenerateSampleError, NumericalError, np.linalg.LinAlgError,
+                      ArithmeticError)
+
+#: Inputs or settings the library refused.
+REFUSALS = (ValueError, SofregError)
 
 
 def check_seed(seed) -> None:

@@ -26,7 +26,7 @@ from .estimators import (
     _sample_observance,
     fit_slope,
 )
-from .exceptions import ConfigError, GridMismatchError, SofregError, check_seed
+from .exceptions import NUMERICAL_FAILURES, REFUSALS, ConfigError, GridMismatchError, check_seed
 from .functional import FunctionalSample, Grid, fpc_decompose
 from .gof import wild_bootstrap_test
 
@@ -219,10 +219,8 @@ class McReport:
     reruns: int = 0
 
 
-# Numerical failures of one replicate or one estimator: counted, never fatal.
-# ArithmeticError covers FloatingPointError (under np.seterr(all="raise")),
-# ZeroDivisionError and OverflowError.
-_REPLICATE_FAILURES = (SofregError, np.linalg.LinAlgError, ValueError, ArithmeticError)
+# The failures of one replicate or one estimator: counted, never fatal.
+_REPLICATE_FAILURES = NUMERICAL_FAILURES + REFUSALS
 
 
 def _failed_entry(exc: Exception) -> dict:
@@ -285,38 +283,12 @@ def _finite_mean(values: np.ndarray) -> float:
     return float(good.mean()) if good.size else float("nan")
 
 
-def mc_experiment(
-    configs: list[DgpConfig],
-    m: int,
-    b: int,
-    alpha: float = 0.05,
-    estimators: tuple[str, ...] = METHOD_TAGS,
-    *,
-    seed: int,
-    threads: int = 1,
-) -> McReport:
-    """Run m replicates of generate -> fit -> test over each configuration.
+def check_mc_run(configs: list[DgpConfig], m: int, b: int, alpha: float,
+                 estimators: tuple[str, ...], seed, threads: int) -> tuple[str, ...]:
+    """Refuse an `mc_experiment` run with ConfigError; return its upper-cased tags.
 
-    Pass b = 0 to collect fits (MSEE, timing) without running the test.
-    Replicate seeds are spawned from `seed` before dispatch, and every
-    replicate runs at one BLAS thread, so results are identical for any
-    `threads` value and core count: the count is set to one around the pool
-    and the serial loop alike, and the caller's count is restored after
-    them. The workers are forked at one thread and inherit it; as
-    `set_blas_threads` skips an unchanged count, none of them calls the
-    library's setter, which would start a BLAS server thread that spins on
-    a shared core through the worker's first replicate. With threads > 1
-    the replicates of all cells go, in cell order, through one worker pool;
-    if a worker dies, the replicates that have not come back run serially in
-    this process with the same seeds, so the report is unchanged, and
-    `reruns` counts them.
-
-    Failures are counted in `failures`, never silently dropped. An
-    estimator that raises has NaN p-value, MSEE and time in that replicate,
-    even when its fit finished before its test failed; a failure before the
-    fits (data, basis or observance) counts for every estimator. The means
-    and rejection rates are over the finite entries, and `missing_fraction`
-    averages over the replicates whose data were drawn.
+    It does no work and makes nothing, so a caller can check a run before
+    it acts on it, as `sofreg mc` does before it makes its `--out` directory.
     """
     check_seed(seed)
     if m < 1:
@@ -346,6 +318,46 @@ def mc_experiment(
         if cell in cells[:i]:
             raise ConfigError("cell beta_id={}, eta={}, n={}, delta={} is given more than once"
                               .format(*cell))
+    return tags
+
+
+def mc_experiment(
+    configs: list[DgpConfig],
+    m: int,
+    b: int,
+    alpha: float = 0.05,
+    estimators: tuple[str, ...] = METHOD_TAGS,
+    *,
+    seed: int,
+    threads: int = 1,
+) -> McReport:
+    """Run m replicates of generate -> fit -> test over each configuration.
+
+    Pass b = 0 to collect fits (MSEE, timing) without running the test.
+    Replicate seeds are spawned from `seed` before dispatch, and every
+    replicate runs at one BLAS thread, so results are identical for any
+    `threads` value and core count: the count is set to one around the pool
+    and the serial loop alike, and the caller's count is restored after
+    them. The workers are forked at one thread and inherit it; as
+    `set_blas_threads` skips an unchanged count, none of them calls the
+    library's setter, which would start a BLAS server thread that spins on
+    a shared core through the worker's first replicate. With threads > 1
+    the replicates of all cells go, in cell order, through one worker pool;
+    if a worker dies, the replicates that have not come back run serially in
+    this process with the same seeds, so the report is unchanged, and
+    `reruns` counts them.
+
+    A run that `check_mc_run` refuses raises its ConfigError before any
+    work. Failures are counted in `failures`, never silently dropped: a
+    replicate failure is any error of `exceptions.NUMERICAL_FAILURES` or
+    `exceptions.REFUSALS`, the two tuples by which `sofreg` exits 4 or 3. An
+    estimator that raises has NaN p-value, MSEE and time in that replicate,
+    even when its fit finished before its test failed; a failure before the
+    fits (data, basis or observance) counts for every estimator. The means
+    and rejection rates are over the finite entries, and `missing_fraction`
+    averages over the replicates whose data were drawn.
+    """
+    tags = check_mc_run(configs, m, b, alpha, estimators, seed, threads)
     root = np.random.SeedSequence(seed)
     arglist = [
         (config, b, tags, s)

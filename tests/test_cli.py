@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from sofreg import blas, cli, simulation
+from sofreg import blas, cli, gof, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
 from sofreg.estimators import MarSample, observed_pairs_basis
@@ -555,6 +555,22 @@ class TestTest:
         assert abs(report["p_value"] * 80 - round(report["p_value"] * 80)) < 1e-9
         assert (out / "gof_IL.svg").read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    def test_an_arithmetic_error_in_a_stage_is_a_numerical_error(
+            self, mar_dataset, tmp_path, capsys, monkeypatch, error):
+        # math.gamma(N_K / 2) in build_a_matrix overflows from N_K = 344 columns
+        def failing_build(block):
+            raise error("raised in build_a_matrix")
+
+        monkeypatch.setattr(gof, "build_a_matrix", failing_build)
+        out = tmp_path / "t"
+        assert run(["test", "--curves", mar_dataset / "curves.csv",
+                    "--responses", mar_dataset / "responses.csv",
+                    "--method", "S", "--bootstrap", 10, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err == "numerical error: raised in build_a_matrix\n", err
+        assert not out.exists()
+
     @pytest.mark.slow
     def test_null_p_values_roughly_uniform(self, tmp_path):
         # under the null, P(p > 0.5) should be near 1/2 across seeded runs
@@ -649,6 +665,22 @@ class TestMc:
                     "--out", nest / "a" / "b" / "mc"]) == 3
         assert "is given more than once" in capsys.readouterr().err
         assert nest.is_dir() and not any(nest.iterdir())
+
+    @pytest.mark.parametrize("refused, message", [
+        (["--estimators", "S", "S"], "estimator tag 'S' is given more than once"),
+        (["--m", 0], "m must be at least 1"),
+        (["--alpha", 1], "alpha must lie in (0, 1)"),
+    ], ids=["estimators", "m", "alpha"])
+    def test_a_refused_run_makes_no_directory(self, tmp_path, capsys, monkeypatch, refused,
+                                              message):
+        # the run is checked before --out is made, so there is nothing to remove
+        made = count_calls(monkeypatch, cli.os, "makedirs")
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                    "--estimators", "S", "--seed", 1, "--threads", 1,
+                    "--out", tmp_path / "nest" / "mc", *refused]) == 3
+        assert message in capsys.readouterr().err
+        assert made == []
+        assert not (tmp_path / "nest").exists()
 
     @pytest.mark.parametrize("bootstrap, alpha", [(-3, 0.05), (20, 1.5)])
     def test_rejects_out_of_range_bootstrap_and_alpha(self, tmp_path, bootstrap, alpha):

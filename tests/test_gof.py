@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -380,6 +381,42 @@ class TestBootstrapMoments:
         variance_se = np.sqrt((np.mean(centred**4) - np.mean(centred**2) ** 2) / b)
         assert abs(stats.mean() - mean) <= self.STANDARD_ERRORS * mean_se
         assert abs(stats.var() - variance) <= self.STANDARD_ERRORS * variance_se
+
+
+class TestBootstrapExactLaw:
+    """With n_obs <= 12 the law of a replicate given the data is a finite sum
+    over the 2^n_obs golden-section patterns of the multipliers. Refitting
+    every pattern gives the exact p-value p_inf = P(T* >= T), and the
+    reported p-value of B replicates is Binomial(B, p_inf) / B."""
+
+    #: Binomial standard errors within which the reported p-value must fall.
+    Z = 4
+
+    @pytest.mark.parametrize("tag", METHOD_TAGS)
+    def test_p_value_lies_within_binomial_bounds_of_the_exact_p_value(self, tag):
+        # n_obs is 12 for C and CL and 11 for the others; p_inf lies
+        # between 0.24 and 0.54 for every tag
+        eta, n = (None, 12) if tag in ("C", "CL") else (1.0, 16)
+        sample, basis, _ = make_mar_dataset(n=n, beta_id=3, eta=eta, seed=3)
+        assert sample.n_obs <= 12
+        b, seed = 2000, 3
+        slope = fit_slope(sample, basis, tag, seed=seed)
+        rows = slope.observed_scores(sample)
+        a = build_a_matrix(rows[:, np.asarray(slope.indices) - 1])
+        mu = slope.predict_centered(rows)
+        eps = sample.y_centered - mu
+        low = np.array(list(itertools.product((True, False), repeat=sample.n_obs)))
+        probability = np.prod(np.where(low, GOLDEN_P_LOW, 1.0 - GOLDEN_P_LOW), axis=1)
+        refit = slope.refit_residuals(sample, mu + np.where(low, GOLDEN_LOW, GOLDEN_HIGH) * eps)
+        stats = np.maximum(np.einsum("pl,lm,pm->p", refit, a.values, refit), 0.0)
+        stats /= float(sample.n_obs) ** 2
+        observed = pcvm_statistic(eps, a)
+        # no pattern is within round-off of the observed statistic, so the
+        # quadratic form and the refit count the same patterns
+        assert np.min(np.abs(stats - observed)) > 1e-9 * observed
+        p_inf = float(probability[stats >= observed].sum())
+        p_value = wild_bootstrap_test(sample, basis, tag, b=b, seed=seed).p_value
+        assert abs(p_value - p_inf) <= self.Z * np.sqrt(p_inf * (1.0 - p_inf) / b)
 
 
 class TestWildBootstrap:
