@@ -163,7 +163,7 @@ def _fit_step(args, sample, basis):
     slope = fit_slope(sample, basis, args.method, seed=args.seed)
     tag = slope.method_tag
     svg = curve_plot(
-        slope.basis.grid.points, {f"beta ({tag})": slope.curve},
+        slope.basis.curves.grid.points, {f"beta ({tag})": slope.curve},
         f"Estimated slope, method {tag}",
     ) if args.plot else None
     summary = f"fit {tag}: indices={list(slope.indices)}"

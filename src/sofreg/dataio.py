@@ -179,10 +179,11 @@ def truth_report(config: DgpConfig, beta: np.ndarray, seed: int) -> dict:
 
 
 def _cutoffs(slope: FunctionalSlope) -> dict:
-    """The selection of a fit as its report names it: the LASSO supports of
-    both stages, or the CV cutoffs K_S (first stage) and K_I or K_W (second)."""
+    """The selection of a fit as its report names it: for a LASSO fit (one
+    with a `lasso_lambda`) the supports of both stages, else the CV cutoffs
+    K_S (first stage) and K_I or K_W (second)."""
     first = slope.first_stage
-    if slope.method_tag.endswith("L"):
+    if slope.lasso_lambda is not None:
         supports = {"indices": list(slope.indices)}
         if first is not None:
             supports["first_stage"] = list(first.indices)
@@ -203,7 +204,7 @@ def slope_report(slope: FunctionalSlope, sample: MarSample) -> dict:
         "n": sample.n,
         "n_observed": sample.n_obs,
         "curve": [float(v) for v in slope.curve],
-        "grid": [float(v) for v in slope.basis.grid.points],
+        "grid": [float(v) for v in slope.basis.curves.grid.points],
         "predictions": [float(v) for v in slope.predict_sample(sample.x)],
     }
     if slope.cv_errors is not None:

@@ -274,8 +274,27 @@ def _first_cv_minimum(errors: np.ndarray, ytilde: np.ndarray) -> int:
     return int(np.flatnonzero(errors <= errors.min() + tol)[0])
 
 
+def check_tag(tag: str) -> str:
+    """`tag` upper-cased; ConfigError unless it is one of METHOD_TAGS.
+
+    The one check of a method tag, for `fit_slope` and for the estimators
+    of an `mc` run alike.
+    """
+    tag = tag.upper()
+    if tag not in METHOD_TAGS:
+        raise ConfigError(f"unknown estimator tag {tag!r}; expected one of {METHOD_TAGS}")
+    return tag
+
+
 def _check_basis(sample: MarSample, basis: FpcBasis):
-    if basis.n != sample.n:
+    """Refuse a basis not decomposed from `sample`'s own curves.
+
+    The basis's curves must be `sample.x` itself or hold the same grid and
+    values; a basis of another sample, of the same size or not, is refused.
+    """
+    if basis.curves is not sample.x and not (
+            np.array_equal(basis.curves.values, sample.x.values)
+            and np.array_equal(basis.curves.grid.points, sample.x.grid.points)):
         raise GridMismatchError("basis was not computed from this sample")
 
 
@@ -454,8 +473,10 @@ def _completed_responses(sample: MarSample, basis: FpcBasis, indices, y_obs: np.
 def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) -> FunctionalSlope:
     """Fit one of the eight estimators by its method tag.
 
-    `basis` is the FPC basis of all n curves; the first stage runs in the
-    basis of the observed curves at `basis.var_cutoff`. `seed` sets the
+    `method` is checked by `check_tag`, in any case. `basis` is the FPC
+    basis of all n curves, `fpc_decompose(sample.x)`; a basis decomposed
+    from other curves is refused (`_check_basis`). The first stage runs in
+    the basis of the observed curves at `basis.var_cutoff`. `seed` sets the
     LASSO cross-validation folds; None or a negative one is refused for
     every tag.
     The CV-selected fits (C, S, I, W) read no seed, so the sample and the
@@ -464,9 +485,7 @@ def fit_slope(sample: MarSample, basis: FpcBasis, method: str, seed: int = 0) ->
     every later call.
     """
     check_seed(seed)
-    tag = method.upper()
-    if tag not in METHOD_TAGS:
-        raise ConfigError(f"unknown method tag {tag!r}; expected one of {METHOD_TAGS}")
+    tag = check_tag(method)
     if tag[0] == "C" and sample.n_obs != sample.n:
         raise ConfigError(f"method {tag} needs fully observed responses")
     _check_basis(sample, basis)

@@ -124,6 +124,8 @@ class FpcBasis(ReadOnlyArrays):
 
     Attributes
     ----------
+    curves : the sample that was decomposed, kept by reference; its grid is
+        the basis's grid, and a fit accepts the basis only for these curves.
     eigenvalues : (K,) nonincreasing, nonnegative.
     eigenfunctions : (K, m) rows orthonormal under the grid inner product.
     scores : (n, K) projections of the centered curves on the eigenfunctions.
@@ -131,7 +133,7 @@ class FpcBasis(ReadOnlyArrays):
     var_cutoff : the variance-ratio cutoff that chose K.
     """
 
-    grid: Grid
+    curves: FunctionalSample
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
     scores: np.ndarray
@@ -150,10 +152,10 @@ class FpcBasis(ReadOnlyArrays):
 def project_scores(basis: FpcBasis, values: np.ndarray) -> np.ndarray:
     """Scores of arbitrary curves (rows) in an existing basis."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    if values.shape[1] != basis.grid.n_points:
+    if values.shape[1] != basis.curves.grid.n_points:
         raise GridMismatchError("curves do not live on the basis grid")
     centered = values - basis.mean_curve
-    return (centered * basis.grid.quad_weights) @ basis.eigenfunctions.T
+    return (centered * basis.curves.grid.quad_weights) @ basis.eigenfunctions.T
 
 
 def fpc_decompose(
@@ -234,7 +236,7 @@ def fpc_decompose(
             scores[:, k] = -scores[:, k]
 
     return FpcBasis(
-        grid=sample.grid,
+        curves=sample,
         eigenvalues=eigenvalues[:k_max],
         eigenfunctions=eigenfunctions,
         scores=scores,

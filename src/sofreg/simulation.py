@@ -24,6 +24,7 @@ from .estimators import (
     MarSample,
     _first_stage_basis,
     _sample_observance,
+    check_tag,
     fit_slope,
 )
 from .exceptions import NUMERICAL_FAILURES, REFUSALS, ConfigError, GridMismatchError, check_seed
@@ -127,7 +128,7 @@ def gen_missing(
 
 def mse_estimation(beta_true: np.ndarray, slope) -> float:
     """Squared L2 distance between the true slope and the fitted curve."""
-    grid = slope.basis.grid
+    grid = slope.basis.curves.grid
     beta_true = np.asarray(beta_true, dtype=float)
     if beta_true.shape != (grid.n_points,):
         raise GridMismatchError("true slope does not live on the fitted grid")
@@ -289,6 +290,8 @@ def check_mc_run(configs: list[DgpConfig], m: int, b: int, alpha: float,
 
     It does no work and makes nothing, so a caller can check a run before
     it acts on it, as `sofreg mc` does before it makes its `--out` directory.
+    Each tag is checked by `estimators.check_tag`, as `fit_slope` checks
+    its method; the run itself refuses an empty or repeated tag.
     """
     check_seed(seed)
     if m < 1:
@@ -304,12 +307,10 @@ def check_mc_run(configs: list[DgpConfig], m: int, b: int, alpha: float,
     # the report holds one grid_points and one sigma_eps for all its cells
     if len({(c.grid_points, c.sigma_eps) for c in configs}) > 1:
         raise ConfigError("the cells of an mc run must share grid_points and sigma_eps")
-    tags = tuple(t.upper() for t in estimators)
+    tags = tuple(check_tag(t) for t in estimators)
     if not tags:
         raise ConfigError("an mc run needs at least one estimator")
     for t in tags:
-        if t not in METHOD_TAGS:
-            raise ConfigError(f"unknown estimator tag {t!r}; expected one of {METHOD_TAGS}")
         if tags.count(t) > 1:
             raise ConfigError(f"estimator tag {t!r} is given more than once")
     # a cell is known by these four values in every report and file name

@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from sofreg.estimators import MarSample
 from sofreg.functional import Grid, fpc_decompose
-from sofreg.simulation import gen_missing, gen_ou_sample, gen_responses
+from sofreg.simulation import DgpConfig, gen_missing, gen_ou_sample, generate_dataset
 
 GRID = Grid.regular(0.0, 1.0, 201)
 
@@ -18,16 +18,15 @@ if os.environ.get("CI"):
 
 
 def make_mar_dataset(n=60, beta_id=3, eta=1.0, delta=0.0, sigma_eps=0.1, seed=0):
-    """One synthetic dataset: (masked MarSample, basis, full y, true beta id)."""
-    rng = np.random.default_rng(seed)
-    x = gen_ou_sample(n, GRID, rng)
-    y = gen_responses(x, beta_id, delta, sigma_eps, rng)
-    r = gen_missing(x, eta, rng) if eta is not None else np.ones(n, dtype=bool)
-    if r.sum() < 3:
-        r[np.argsort((x.values**2) @ GRID.quad_weights)[-3:]] = True
-    sample = MarSample(x, np.where(r, y, np.nan), r)
-    basis = fpc_decompose(x)
-    return sample, basis, y
+    """One synthetic dataset on GRID's points: (masked MarSample, its basis, full y).
+
+    The draw is `generate_dataset`'s, so the tests and the `mc` harness share
+    one data generator.
+    """
+    config = DgpConfig(beta_id=beta_id, delta=delta, eta=eta, n=n,
+                       grid_points=GRID.n_points, sigma_eps=sigma_eps)
+    sample, y, _ = generate_dataset(config, seed)
+    return sample, fpc_decompose(sample.x), y
 
 
 def make_score_linear_sample(coeffs, n=80, seed=0, sigma=0.0, eta=None):

@@ -1,3 +1,6 @@
+import ctypes
+import io
+
 import pytest
 
 from sofreg import blas
@@ -56,3 +59,33 @@ class TestSetBlasThreads:
         assert blas.set_blas_threads(3) is None
         with blas.single_blas_thread():
             pass
+
+
+#: A line of /proc/self/maps that names an OpenBLAS library.
+MAPS_LINE = "7f0000000000-7f0000001000 r-xp 00000000 08:01 42 /opt/lib/libopenblas.so.0\n"
+
+
+class TestFindOpenblas:
+    """`_openblas` is None wherever no usable OpenBLAS is found (uncached calls)."""
+
+    def test_unreadable_maps(self, monkeypatch):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("/proc/self/maps")
+
+        monkeypatch.setattr(blas, "open", unreadable, raising=False)
+        assert blas._openblas.__wrapped__() is None
+
+    def test_a_library_ctypes_cannot_open(self, monkeypatch):
+        def cannot_open(path):
+            raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(blas, "open", lambda *a, **k: io.StringIO(MAPS_LINE), raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", cannot_open)
+        assert blas._openblas.__wrapped__() is None
+
+    def test_a_library_without_thread_symbols(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(blas, "open", lambda *a, **k: io.StringIO(MAPS_LINE), raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: opened.append(path) or object())
+        assert blas._openblas.__wrapped__() is None
+        assert opened == ["/opt/lib/libopenblas.so.0"]

@@ -14,7 +14,7 @@ from conftest import count_calls
 from sofreg import blas, cli, gof, simulation
 from sofreg.cli import main
 from sofreg.dataio import read_curves_csv, read_responses_csv
-from sofreg.estimators import MarSample, observed_pairs_basis
+from sofreg.estimators import METHOD_TAGS, MarSample, observed_pairs_basis
 
 
 def run(argv):
@@ -139,7 +139,7 @@ class TestFit:
 
         basis = fpc_decompose(sample)
         cols = np.asarray(report["indices"]) - 1
-        w = basis.grid.quad_weights
+        w = basis.curves.grid.quad_weights
         projection = ((beta * w) @ basis.eigenfunctions[cols].T) @ basis.eigenfunctions[cols]
         np.testing.assert_allclose(np.asarray(report["curve"]), projection, atol=1e-6)
 
@@ -284,8 +284,22 @@ class TestFit:
         out = tmp_path / "o"
         assert run(fit_argv(mar_dataset / "curves.csv", mar_dataset / "responses.csv",
                             out, "X")) == 3
-        assert "unknown method tag 'X'; expected one of" in capsys.readouterr().err
+        assert "unknown estimator tag 'X'; expected one of" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_unknown_method_prints_the_line_of_an_unknown_mc_estimator(
+            self, mar_dataset, tmp_path, capsys, command):
+        # one library check reads the tags of --method and of --estimators
+        assert run([command, "--curves", mar_dataset / "curves.csv",
+                    "--responses", mar_dataset / "responses.csv",
+                    "--method", "x", "--out", tmp_path / command]) == 3
+        on_sample = capsys.readouterr().err
+        assert run(["mc", "--beta-id", 1, "--n", 30, "--m", 1, "--bootstrap", 5,
+                    "--estimators", "S", "x", "--seed", 1, "--threads", 1,
+                    "--out", tmp_path / "mc"]) == 3
+        line = f"error: unknown estimator tag 'X'; expected one of {METHOD_TAGS}\n"
+        assert on_sample == capsys.readouterr().err == line
 
     def test_plot_written(self, mar_dataset, tmp_path):
         out = tmp_path / "fitplot"

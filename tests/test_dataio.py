@@ -24,6 +24,25 @@ def table(sample):
     return np.vstack([sample.grid.points, sample.values])
 
 
+class TestAtomicWrite:
+    """A failed write leaves the target as it was and no temp file behind."""
+
+    def test_text_that_cannot_be_encoded(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            dataio.atomic_write_text(str(target), "\ud800")  # a lone surrogate
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_a_target_that_is_a_directory(self, tmp_path):
+        (tmp_path / "report.json").mkdir()
+        with pytest.raises(IsADirectoryError):
+            dataio.atomic_write_text(str(tmp_path / "report.json"), "{}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+        assert list((tmp_path / "report.json").iterdir()) == []
+
+
 class TestErrorLines:
     def test_curves_error_names_the_file_line_after_a_blank_line(self, tmp_path):
         path = write(tmp_path, f"{GRID_ROW}\n\n1,2,3\n4,5,oops\n")

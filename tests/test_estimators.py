@@ -27,8 +27,8 @@ from sofreg.estimators import (
     observed_pairs_basis,
 )
 from sofreg.exceptions import ConfigError, DegenerateSampleError, GridMismatchError
-from sofreg.functional import FunctionalSample, fpc_decompose, project_scores
-from sofreg.gof import golden_section_multipliers
+from sofreg.functional import FunctionalSample, Grid, fpc_decompose, project_scores
+from sofreg.gof import golden_section_multipliers, wild_bootstrap_test
 from sofreg.lasso import lasso_select
 from sofreg.simulation import gen_missing, gen_ou_sample, gen_responses, mse_estimation
 
@@ -542,7 +542,7 @@ class TestDeterminism:
 
     def test_unknown_tag_names_the_valid_ones(self):
         sample, basis, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
-        with pytest.raises(ConfigError, match="unknown method tag 'X'") as err:
+        with pytest.raises(ConfigError, match="unknown estimator tag 'X'") as err:
             fit_slope(sample, basis, "x")
         assert str(METHOD_TAGS) in str(err.value)
 
@@ -555,6 +555,28 @@ class TestDeterminism:
         _, other_basis, _ = make_mar_dataset(n=31, beta_id=1, eta=1.0, seed=3)
         with pytest.raises(GridMismatchError, match="basis was not computed from this sample"):
             select(sample, other_basis)
+
+    @pytest.mark.parametrize("tag", ["C", "I", "IL", "W"])
+    @pytest.mark.parametrize("select", [
+        lambda sample, basis, tag: fit_slope(sample, basis, tag, seed=3),
+        lambda sample, basis, tag: wild_bootstrap_test(sample, basis, tag, b=200, seed=3),
+        lambda sample, basis, tag: joint_loocv_cutoffs(sample, basis),
+    ], ids=["fit_slope", "wild_bootstrap_test", "joint_loocv_cutoffs"])
+    def test_a_same_size_basis_of_another_sample_is_refused(self, select, tag):
+        # a row count cannot tell the two samples apart; the regressions
+        # would run on the other sample's scores
+        eta = None if tag == "C" else 1.0
+        other, _, _ = make_mar_dataset(n=60, beta_id=3, eta=eta, seed=1)
+        sample, _, _ = make_mar_dataset(n=60, beta_id=3, eta=eta, seed=2)
+        with pytest.raises(GridMismatchError, match="basis was not computed from this sample"):
+            select(sample, fpc_decompose(other.x), tag)
+        assert sample._memo == {}  # no fit in the other basis is kept on the sample
+
+    def test_a_basis_of_the_same_curves_on_another_grid_is_refused(self):
+        sample, _, _ = make_mar_dataset(n=30, beta_id=1, eta=1.0, seed=3)
+        stretched = FunctionalSample(Grid.regular(0.0, 2.0, GRID.n_points), sample.x.values)
+        with pytest.raises(GridMismatchError, match="basis was not computed from this sample"):
+            fit_slope(sample, fpc_decompose(stretched), "S")
 
     @pytest.mark.parametrize("tag", ["S", "SL"])
     def test_a_negative_seed_is_refused_whether_or_not_the_fit_reads_it(self, tag):

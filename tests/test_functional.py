@@ -34,6 +34,10 @@ class TestGrid:
         with pytest.raises(GridMismatchError):
             Grid(np.array([0.0, 0.1, 0.3, 1.0]))
 
+    def test_curves_must_have_a_column_per_grid_point(self):
+        with pytest.raises(GridMismatchError, match="curves have 200 columns, grid has 201"):
+            FunctionalSample(GRID, np.zeros((3, 200)))
+
 
 class TestInnerProduct:
     def test_constant_one(self):
@@ -98,6 +102,10 @@ class TestCenter:
 
 
 class TestFpcDecompose:
+    def test_one_curve_raises(self):
+        with pytest.raises(DegenerateSampleError, match="need at least 2 curves"):
+            fpc_decompose(FunctionalSample(GRID, np.sin(2 * np.pi * T)[None, :]))
+
     def test_degenerate_sample_raises(self):
         f = np.sin(2 * np.pi * T)
         sample = FunctionalSample(GRID, np.tile(f, (5, 1)))
