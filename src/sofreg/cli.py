@@ -9,8 +9,11 @@ library checks every value once, so a flag and a file line that give the
 same value fail alike (exit code 3), as does a file that cannot be read or
 written. `main` maps the library's two failure tuples,
 `exceptions.NUMERICAL_FAILURES` and `exceptions.REFUSALS`, to exit codes 4
-and 3. Report and manifest formats live in `dataio`; this module only
-orchestrates.
+and 3. Each input file is read once, by `_read_input`, which hands its
+bytes to the parser and to the manifest's digest and names the file in a
+parse error: ``<path>:<line>: <message>``, exit code 2 for a CSV and 3 for
+the `mc` config file. Report and manifest formats live in `dataio`; this
+module only orchestrates.
 """
 
 from __future__ import annotations
@@ -22,17 +25,19 @@ import os
 import sys
 import time
 from collections.abc import Callable
+from pathlib import Path
 
 from . import __version__
 from .blas import single_blas_thread
 from .dataio import (
-    _numbered_lines,
     atomic_write_text,
     cell_stem,
     dump_json,
+    file_digest,
     gof_report,
     mc_report,
     mc_timing,
+    numbered_lines,
     read_curves_csv,
     read_responses_csv,
     rejection_tables,
@@ -108,33 +113,40 @@ MC_SETTINGS = (
 )
 
 
-def _read_mc_config(path: str) -> dict:
-    """Key = value lines; comma-separated lists; '#' comments."""
+def _read_input(path: str, parse: Callable[[bytes], object], error: type = CsvFormatError):
+    """(parse(raw), file_digest(raw)) for the bytes `raw` of the file at
+    `path`, which is read once. A `CsvFormatError` of the parse is raised
+    again as `error`, with the message ``<path>:<line>: <message>``."""
+    raw = Path(path).read_bytes()
+    try:
+        return parse(raw), file_digest(raw)
+    except CsvFormatError as exc:
+        raise error(f"{path}:{exc.line}: {exc.message}") from None
+
+
+def _read_mc_config(raw: bytes) -> dict:
+    """The settings of the bytes `raw` of a config file: key = value lines,
+    comma-separated lists, '#' comments. A malformed line is a
+    `CsvFormatError` that carries its line."""
     settings = {s.name: s for s in MC_SETTINGS}
     result: dict = {}
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = _numbered_lines(raw)
-    except CsvFormatError as exc:
-        raise ConfigError(f"{path}:{exc.line}: {exc.message}") from None
-    for lineno, text in lines:
+    for lineno, text in numbered_lines(raw):
         line = text.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            raise CsvFormatError("expected 'key = value'", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         setting = settings.get(key)
         if setting is None:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise CsvFormatError(f"unknown key {key!r}", line=lineno)
         tokens = [t.strip() for t in value.split(",") if t.strip()] if setting.many else [value]
         if not tokens:
-            raise ConfigError(f"{path}:{lineno}: {key} needs at least one value")
+            raise CsvFormatError(f"{key} needs at least one value", line=lineno)
         try:
             values = [setting.convert(t) for t in tokens]
         except ValueError:
-            raise ConfigError(f"{path}:{lineno}: invalid {key} value {value!r}") from None
+            raise CsvFormatError(f"invalid {key} value {value!r}", line=lineno) from None
         result[key] = values if setting.many else values[0]
     return result
 
@@ -188,7 +200,9 @@ def cmd_on_sample(step, args) -> int:
     or None, summary line).
     """
     started = time.time()
-    sample = MarSample(read_curves_csv(args.curves), *read_responses_csv(args.responses))
+    curves, curves_digest = _read_input(args.curves, read_curves_csv)
+    (y, r), responses_digest = _read_input(args.responses, read_responses_csv)
+    sample = MarSample(curves, y, r)
     basis = fpc_decompose(sample.x, args.kmax_var_cutoff)
     stem, payload, svg, summary = step(args, sample, basis)
     report_path = os.path.join(args.out, f"{stem}.json")
@@ -198,7 +212,7 @@ def cmd_on_sample(step, args) -> int:
         outputs.append(os.path.join(args.out, f"{stem}.svg"))
         atomic_write_text(outputs[-1], svg)
     write_manifest(args.out, args.command, _args_config(args), args.seed,
-                   {"curves": args.curves, "responses": args.responses}, outputs,
+                   {"curves": curves_digest, "responses": responses_digest}, outputs,
                    time.time() - started)
     print(f"{summary} -> {report_path}")
     return EXIT_OK
@@ -206,7 +220,8 @@ def cmd_on_sample(step, args) -> int:
 
 def cmd_mc(args) -> int:
     started = time.time()
-    from_file = _read_mc_config(args.config) if args.config else {}
+    from_file, config_digest = (_read_input(args.config, _read_mc_config, ConfigError)
+                                if args.config else ({}, None))
     settings = {s.name: s.resolve(args, from_file) for s in MC_SETTINGS}
     seed = settings.pop("seed")
 
@@ -241,7 +256,7 @@ def cmd_mc(args) -> int:
                     data, f"log {quantity.upper()} by estimator, {stem}",
                 ))
     write_manifest(args.out, args.command, settings, seed,
-                   {"config": args.config} if args.config else {}, outputs,
+                   {"config": config_digest} if args.config else {}, outputs,
                    time.time() - started, timing=mc_timing(report))
 
     if report.reruns:

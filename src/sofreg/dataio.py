@@ -2,7 +2,11 @@
 
 Curve matrix CSV: first row holds the grid abscissae, each following row one
 curve; UTF-8, '.' decimal, ',' separator. Response CSV: header ``y,observed``
-with the response empty or ``NA`` when observed is 0. Reports (`truth_report`,
+with the response empty or ``NA`` when observed is 0. The readers parse
+bytes and open no file: the caller reads each input once and hands those
+bytes to the reader and to `file_digest`, so the manifest's digest names
+exactly the bytes that were parsed, a pipe's included. A parse error
+carries its line; the caller names the file. Reports (`truth_report`,
 `slope_report`, `gof_report`, `mc_report`) are JSON with sorted keys and NaN
 as null, so equal seeds yield byte-identical files; wall time lives in the
 manifest (`write_manifest`) only, never in a report. Every file is written
@@ -39,10 +43,11 @@ def _parse_float(token: str, line: int) -> float:
         raise CsvFormatError(f"malformed decimal value {token!r}", line=line) from None
 
 
-def _numbered_lines(raw: bytes) -> list[tuple[int, str]]:
+def numbered_lines(raw: bytes) -> list[tuple[int, str]]:
     """(1-based file line, text) of every line of the file bytes `raw` that is
     not blank, split at the line ends a text-mode read splits at. A byte
-    that is not UTF-8 is a format error on its line."""
+    that is not UTF-8 is a format error on its line. The line splitter of
+    every input format, the `mc` config file's included."""
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -52,8 +57,9 @@ def _numbered_lines(raw: bytes) -> list[tuple[int, str]]:
             if ln.strip() != ""]
 
 
-def read_curves_csv(path: str) -> FunctionalSample:
-    """Parse a curve matrix file; errors carry 1-based file line numbers.
+def read_curves_csv(raw: bytes) -> FunctionalSample:
+    """Parse the bytes `raw` of a curve matrix file; errors carry 1-based
+    file line numbers.
 
     numpy's C reader parses the usual file. It gives float()'s bits but
     rejects some tokens float() accepts ('1_0', non-ASCII digits) and
@@ -62,8 +68,6 @@ def read_curves_csv(path: str) -> FunctionalSample:
     parser, which accepts and rejects exactly as float() does and names the
     offending line.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     # a blank file would make np.loadtxt warn that it holds no data
     if raw.strip() and not any(sep in raw for sep in _SEPARATORS):
         try:
@@ -78,7 +82,7 @@ def read_curves_csv(path: str) -> FunctionalSample:
 
 
 def _read_curves_by_line(raw: bytes) -> FunctionalSample:
-    lines = _numbered_lines(raw)
+    lines = numbered_lines(raw)
     if len(lines) < 2:
         raise CsvFormatError("need a grid row plus at least one curve row", line=1)
     grid_line, grid_text = lines[0]
@@ -101,10 +105,10 @@ def write_curves_csv(path: str, sample: FunctionalSample) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_responses_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``y,observed`` file into (responses-with-NaN, indicator)."""
-    with open(path, "rb") as fh:
-        lines = _numbered_lines(fh.read())
+def read_responses_csv(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the bytes `raw` of a ``y,observed`` file into
+    (responses-with-NaN, indicator)."""
+    lines = numbered_lines(raw)
     if not lines:
         raise CsvFormatError("empty responses file", line=1)
     header_line, header_text = lines[0]
@@ -154,12 +158,9 @@ def dump_json(path: str, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def file_digest(raw: bytes) -> str:
+    """SHA-256 of `raw`, the bytes an input file was parsed from, for the manifest."""
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _null_if_nan(value):
@@ -304,14 +305,15 @@ def write_manifest(out: str, command: str, config: dict, seed: int | None,
                    inputs: dict[str, str], outputs: list[str], wall_time_s: float,
                    **extra) -> None:
     """Write `out`/manifest.json: the command, its resolved configuration and
-    seed, the library version, the SHA-256 of each input, the names of its
-    outputs, its wall time and any `extra` entries (the mc timing)."""
+    seed, the library version, `inputs` (each input's name and the
+    `file_digest` of the bytes it was parsed from), the names of its outputs,
+    its wall time and any `extra` entries (the mc timing)."""
     dump_json(os.path.join(out, "manifest.json"), {
         "command": command,
         "config": config | {"version": _version},
         "seed": seed,
         "version": _version,
-        "inputs": {name: file_digest(p) for name, p in inputs.items()},
+        "inputs": inputs,
         "outputs": sorted(os.path.basename(p) for p in outputs),
         "wall_time_s": wall_time_s,
     } | extra)

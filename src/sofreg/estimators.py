@@ -77,10 +77,12 @@ class MarSample(ReadOnlyArrays):
     `y` entries are meaningful only where `r` is True; unobserved entries
     may be NaN. At least three responses must be observed: with two, the
     first stage interpolates them and the LASSO cross-validation has no
-    training fold with a nonzero column. The observed view is derived once,
-    on construction: the indices of the observed pairs, their count, the
-    mean of their responses and those responses centered by it,
-    `y_centered`, on which every fit works. A value class
+    training fold with a nonzero column. They must be finite, and the
+    squared norm of their centered values must not overflow: every fit's
+    cross-validation and tie tolerance is made of such sums. The observed
+    view is derived once, on construction: the indices of the observed
+    pairs, their count, the mean of their responses and those responses
+    centered by it, `y_centered`, on which every fit works. A value class
     (`ReadOnlyArrays`): a sample compares and hashes by identity, and `y`,
     `r` and the view's arrays are read-only copies, so the caller's arrays
     stay writeable.
@@ -106,10 +108,15 @@ class MarSample(ReadOnlyArrays):
             raise ValueError("need at least 3 observed responses")
         if not np.all(np.isfinite(y_observed)):
             raise ValueError("observed responses must be finite")
-        observed_mean = float(y_observed.mean())
+        # the refusal replaces numpy's warning where the sum or the squared norm overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            observed_mean = float(y_observed.mean())
+            y_centered = y_observed - observed_mean
+            if not np.isfinite(y_centered @ y_centered):
+                raise ValueError("the centered observed responses' squared norm overflows")
         for name, value in (("y", y), ("r", r), ("observed_index", observed_index),
                             ("n_obs", observed_index.size), ("observed_mean", observed_mean),
-                            ("y_centered", y_observed - observed_mean)):
+                            ("y_centered", y_centered)):
             object.__setattr__(self, name, value)
         super().__post_init__()
 

@@ -218,7 +218,10 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     angle_term is 2*pi when the three score vectors coincide, pi when exactly
     one pair does, and pi - (angle at vertex r between the difference
     vectors) otherwise; c = pi^(N_K/2 - 1) / Gamma(N_K / 2), with N_K the
-    width of the (n_s, N_K) block. Entries depend only on angles, so the
+    width of the (n_s, N_K) block. From N_K = 344, where Gamma(N_K / 2)
+    overflows, c is computed in log space; from N_K = 438 it is no longer a
+    normal float (0.0 from 455, which would make every p-value 1), and the
+    build raises NumericalError. Entries depend only on angles, so the
     matrix is invariant under a common rescaling of scores.
 
     Coincident rows are one point weighted by its row count. For three
@@ -240,6 +243,11 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     n_s, n_k = block.shape
     if n_s < 2:
         raise ValueError("need at least 2 score rows")
+    # Gamma(N_K/2) overflows from N_K = 344, so c is taken in log space there
+    c = (np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0) if n_k < 344 else
+         math.exp((n_k / 2.0 - 1.0) * math.log(np.pi) - math.lgamma(n_k / 2.0)))
+    if c < np.finfo(float).tiny:
+        raise NumericalError(f"A's constant c is not a normal float at {n_k} score columns")
 
     unit, weights, point = _unit_differences(block)
     # half + half.T sums, over third points, the terms between distinct points
@@ -250,7 +258,7 @@ def build_a_matrix(score_block: np.ndarray) -> AMatrix:
     total += np.pi * (weights[:, None] + weights[None, :])
     np.fill_diagonal(total, np.pi * (n_s + weights))
 
-    total *= np.pi ** (n_k / 2.0 - 1.0) / math.gamma(n_k / 2.0)
+    total *= c
     return AMatrix(values=total[np.ix_(point, point)])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -64,7 +65,7 @@ class TestSimulate:
         lines = (out / "curves.csv").read_text().strip().splitlines()
         assert len(lines) == 101  # grid row + 100 curves
         assert len(lines[0].split(",")) == 201
-        y, r = read_responses_csv(str(out / "responses.csv"))
+        y, r = read_responses_csv((out / "responses.csv").read_bytes())
         assert y.size == 100 and r.all()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 1 and manifest["command"] == "simulate"
@@ -73,7 +74,7 @@ class TestSimulate:
         out = tmp_path / "d"
         assert run(["simulate", "--beta-id", 1, "--n", 10000, "--eta", 1.0,
                     "--seed", 3, "--out", out]) == 0
-        _, r = read_responses_csv(str(out / "responses.csv"))
+        _, r = read_responses_csv((out / "responses.csv").read_bytes())
         assert 1.0 - r.mean() == pytest.approx(0.27, abs=0.02)
 
     def test_seed_reproducibility(self, tmp_path):
@@ -134,7 +135,7 @@ class TestFit:
         truth = json.loads((noiseless_dataset / "truth.json").read_text())
         beta = np.asarray(truth["beta"])
         # compare the fitted curve with the truth's projection on the fit basis
-        sample = read_curves_csv(str(noiseless_dataset / "curves.csv"))
+        sample = read_curves_csv((noiseless_dataset / "curves.csv").read_bytes())
         from sofreg.functional import fpc_decompose
 
         basis = fpc_decompose(sample)
@@ -166,7 +167,7 @@ class TestFit:
                     "--responses", noiseless_dataset / "responses.csv",
                     "--method", "C", "--out", tmp_path / "o"])
         assert code == 2
-        assert "line 7" in capsys.readouterr().err
+        assert f"error: {bad}:7: malformed decimal value 'oops'" in capsys.readouterr().err
 
     def test_row_count_mismatch_is_config_error(self, noiseless_dataset, tmp_path, capsys):
         short = tmp_path / "short.csv"
@@ -191,7 +192,7 @@ class TestFit:
         assert "grid points must be finite" in capsys.readouterr().err
 
     def test_all_missing_is_config_error(self, noiseless_dataset, tmp_path):
-        y, r = read_responses_csv(str(noiseless_dataset / "responses.csv"))
+        y, r = read_responses_csv((noiseless_dataset / "responses.csv").read_bytes())
         all_missing = tmp_path / "none.csv"
         rows = ["y,observed"] + ["NA,0"] * y.size
         all_missing.write_text("\n".join(rows) + "\n")
@@ -222,7 +223,7 @@ class TestFit:
         responses = tmp_path / "responses.csv"
         responses.write_text(text)
         assert run(fit_argv(noiseless_dataset / "curves.csv", responses, tmp_path / "o")) == 2
-        assert f"error: line {line}: {message}" in capsys.readouterr().err
+        assert f"error: {responses}:{line}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["curves.csv", "responses.csv"])
     def test_a_file_that_is_not_utf8_names_its_line(self, noiseless_dataset, tmp_path, capsys,
@@ -235,7 +236,7 @@ class TestFit:
         files[name].write_bytes(b"\n".join(lines))
         code = run(fit_argv(files["curves.csv"], files["responses.csv"], tmp_path / "o"))
         assert code == 2
-        assert "error: line 3: not UTF-8 text" in capsys.readouterr().err
+        assert f"error: {files[name]}:3: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["curves.csv", "responses.csv"])
     def test_a_missing_input_file_is_config_error(self, mar_dataset, tmp_path, capsys, name):
@@ -319,13 +320,115 @@ class TestFit:
                     "--responses", data / "responses.csv", "--method", "S",
                     "--kmax-var-cutoff", 0.2, "--out", out]) == 0
         report = json.loads((out / "slope_S.json").read_text())
-        y, r = read_responses_csv(str(data / "responses.csv"))
-        sample = MarSample(read_curves_csv(str(data / "curves.csv")), y, r)
+        y, r = read_responses_csv((data / "responses.csv").read_bytes())
+        sample = MarSample(read_curves_csv((data / "curves.csv").read_bytes()), y, r)
         assert sample.n_obs < sample.n
         k_max = observed_pairs_basis(sample, 0.2).k_max
         assert k_max < observed_pairs_basis(sample).k_max
         assert report["cutoffs"]["K_S"] <= k_max
         assert len(report["cv_errors"]) <= k_max
+
+
+@pytest.fixture()
+def small_dataset(tmp_path):
+    """A 30 x 21 sample, 12.5 KB of curves: it fits in a pipe's buffer."""
+    out = tmp_path / "small"
+    assert run(["simulate", "--beta-id", 3, "--n", 30, "--eta", 1.0, "--seed", 0,
+                "--grid-points", 21, "--out", out]) == 0
+    return out
+
+
+@pytest.fixture()
+def pipe_path():
+    """A function from bytes to the ``/dev/fd/N`` path of a pipe's read end
+    that holds them, with its write end closed: a second open of that path
+    reads no bytes, as a second read of ``<(cat file)`` would."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    read_ends = []
+
+    def make(data):
+        read_end, write_end = os.pipe()
+        read_ends.append(read_end)
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for read_end in read_ends:
+        os.close(read_end)
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestInputs:
+    """Each input file is read once: the manifest digests the bytes that were parsed."""
+
+    @pytest.mark.parametrize("command", ["fit", "test"])
+    def test_a_piped_sample_is_parsed_and_digested_from_one_read(
+            self, small_dataset, pipe_path, tmp_path, command):
+        raw = {name: (small_dataset / f"{name}.csv").read_bytes()
+               for name in ("curves", "responses")}
+        extra = ["--bootstrap", 20] if command == "test" else []
+        reports = {}
+        for source in ("file", "pipe"):
+            paths = ({name: small_dataset / f"{name}.csv" for name in raw} if source == "file"
+                     else {name: pipe_path(data) for name, data in raw.items()})
+            out = tmp_path / source
+            assert run([command, "--curves", paths["curves"], "--responses", paths["responses"],
+                        "--method", "S", "--out", out, *extra]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["inputs"] == {name: sha256(data) for name, data in raw.items()}
+            reports[source] = sorted((p.name, p.read_bytes()) for p in out.iterdir()
+                                     if p.name != "manifest.json")
+        assert reports["pipe"] == reports["file"]
+
+    def test_a_piped_mc_config_is_parsed_and_digested_from_one_read(self, pipe_path,
+                                                                      tmp_path):
+        config = (b"beta_id = 1\nn = 30\nm = 1\nbootstrap = 10\nestimators = S\n"
+                  b"seed = 1\nthreads = 1\n")
+        out = tmp_path / "mc"
+        assert run(["mc", "--config", pipe_path(config), "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {"config": sha256(config)}
+        assert manifest["config"]["n"] == [30] and manifest["seed"] == 1
+
+    def test_a_parse_error_names_the_file_of_each_input(self, small_dataset, tmp_path, capsys):
+        files = {n: small_dataset / n for n in ("curves.csv", "responses.csv")}
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,observed\n1.5,1\nabc,1\n")
+        assert run(fit_argv(files["curves.csv"], bad, tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {bad}:3: malformed decimal value 'abc'\n"
+        assert run(fit_argv(bad, files["responses.csv"], tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (f"error: {bad}:1: malformed decimal value 'y'\n")
+
+
+class TestOverflowingResponses:
+    """Observed responses whose centered squared norm overflows are refused
+    (exit 3) before any fit, with no warning: every fit's cross-validation
+    and tie tolerance sum such squares."""
+
+    @pytest.mark.parametrize("method", ["S", "SL", "I", "IL", "W", "WL"])
+    @pytest.mark.parametrize("case", ["one-response-at-minus-1e308", "scaled-by-2-to-the-520"])
+    def test_are_refused(self, small_dataset, tmp_path, capsys, case, method):
+        lines = (small_dataset / "responses.csv").read_text().splitlines()
+        if case == "one-response-at-minus-1e308":
+            # the first observed response; the CV errors of I and W were NaN
+            assert lines[1] == "NA,0" and lines[2].endswith(",1")
+            lines[2] = "-1e308,1"
+        else:
+            # exact, the largest value ~3e156; every K tied and K = 1 was kept
+            lines[1:] = [f"{float(ln.split(',')[0]) * 2.0 ** 520!r},1" if ln.endswith(",1")
+                         else ln for ln in lines[1:]]
+        responses = tmp_path / "responses.csv"
+        responses.write_text("\n".join(lines) + "\n")
+        code = run(fit_argv(small_dataset / "curves.csv", responses, tmp_path / "o", method))
+        assert code == 3
+        assert (capsys.readouterr().err
+                == "error: the centered observed responses' squared norm overflows\n")
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture()
@@ -978,7 +1081,7 @@ class TestRealDataWorkflowShape:
         data = tmp_path / "weatherlike"
         assert run(["simulate", "--beta-id", 2, "--n", 65, "--eta", 1.9,
                     "--seed", 65, "--out", data]) == 0
-        _, r = read_responses_csv(str(data / "responses.csv"))
+        _, r = read_responses_csv((data / "responses.csv").read_bytes())
         assert 0.10 <= 1.0 - r.mean() <= 0.35
         p_values = {}
         for method in ("S", "SL", "I", "IL", "W", "WL"):

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -47,13 +48,13 @@ class TestErrorLines:
     def test_curves_error_names_the_file_line_after_a_blank_line(self, tmp_path):
         path = write(tmp_path, f"{GRID_ROW}\n\n1,2,3\n4,5,oops\n")
         with pytest.raises(CsvFormatError, match="oops") as err:
-            read_curves_csv(path)
+            read_curves_csv(Path(path).read_bytes())
         assert err.value.line == 4
 
     def test_responses_error_names_the_file_line_after_a_blank_line(self, tmp_path):
         path = write(tmp_path, "y,observed\n\n1.5,1\n2.5,yes\n", "responses.csv")
         with pytest.raises(CsvFormatError, match="observed flag") as err:
-            read_responses_csv(path)
+            read_responses_csv(Path(path).read_bytes())
         assert err.value.line == 4
 
 
@@ -73,7 +74,7 @@ class TestCurvesReader:
         expected = np.array([[float(t) for t in row] for row in rows])
         # the C reader alone: the line parser must not be reached
         with mock.patch.object(dataio, "_read_curves_by_line", side_effect=AssertionError):
-            sample = read_curves_csv(path)
+            sample = read_curves_csv(Path(path).read_bytes())
         assert sample.values.tobytes() == expected.tobytes()
         assert sample.grid.points.tobytes() == np.array([0.0, 0.5, 1.0]).tobytes()
 
@@ -89,13 +90,14 @@ class TestCurvesReader:
         (f"{GRID_ROW}\n1,2,3", [1.0, 2.0, 3.0]),
     ])
     def test_odd_inputs_that_parse(self, tmp_path, text, first_row):
-        got = table(read_curves_csv(write(tmp_path, text)))
+        got = table(read_curves_csv(Path(write(tmp_path, text)).read_bytes()))
         assert got.tobytes() == np.array([[0.0, 0.5, 1.0], first_row]).tobytes()
 
     @pytest.mark.parametrize("token", ["infinity", "nan", "-inf", "1e500"])
     def test_non_finite_values_are_rejected(self, tmp_path, token):
         with pytest.raises(ValueError, match="finite"):
-            read_curves_csv(write(tmp_path, f"{GRID_ROW}\n{token},2,3\n"))
+            read_curves_csv(
+                Path(write(tmp_path, f"{GRID_ROW}\n{token},2,3\n")).read_bytes())
 
     @pytest.mark.parametrize("text, line, message", [
         ("﻿" + f"{GRID_ROW}\n1,2,3\n", 1, "malformed decimal value '\\ufeff0.0'"),
@@ -114,7 +116,7 @@ class TestCurvesReader:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(CsvFormatError) as err:
-                read_curves_csv(path)
+                read_curves_csv(Path(path).read_bytes())
         assert str(err.value) == f"line {line}: {message}"
         assert caught == []
 

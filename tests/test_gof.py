@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -121,6 +122,26 @@ class TestAMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             build_a_matrix(np.array([[np.nan], [1.0]]))
+
+    @pytest.mark.parametrize("n_k", [343, 344, 437])
+    def test_wide_blocks_scale_the_per_vertex_angles_by_the_constant(self, n_k):
+        # Gamma(N_K/2) overflows from N_K = 344, so the oracle's c is taken
+        # from c(1) = 1/pi or c(2) = 1 by c(j + 2) = c(j) * 2 pi / j
+        c = 1.0 / np.pi if n_k % 2 else 1.0
+        for j in range(2 - n_k % 2, n_k, 2):
+            c *= 2.0 * np.pi / j
+        # three-dimensional points padded with zero columns keep their angles
+        points = np.random.default_rng(n_k).normal(size=(6, 3))
+        a_matrix = build_a_matrix(np.hstack([points, np.zeros((6, n_k - 3))])).values
+        angles = per_vertex_a_matrix(points) / (np.pi ** 0.5 / math.gamma(1.5))
+        assert np.all(np.isfinite(a_matrix)) and np.all(a_matrix > 0)
+        assert np.abs(a_matrix - c * angles).max() <= 1e-12 * c * np.abs(angles).max()
+
+    def test_a_constant_that_is_not_a_normal_float_raises(self):
+        # c is subnormal from N_K = 438 and 0.0 from 455: every p-value would be 1
+        block = np.random.default_rng(0).normal(size=(6, 438))
+        with pytest.raises(NumericalError, match="438 score columns"):
+            build_a_matrix(block)
 
     def test_rejects_one_row(self):
         with pytest.raises(ValueError, match="need at least 2 score rows"):

@@ -1,8 +1,9 @@
 """Import hygiene of the package, read from its source with `ast`.
 
 Every module but `__init__` (which re-exports) reads every name it imports,
-so a simplification leaves no import behind; and the package imports only
-the standard library and its declared runtime dependencies.
+so a simplification leaves no import behind; no module imports another
+module's private name but the listed ones; and the package imports only the
+standard library and its declared runtime dependencies.
 """
 
 import ast
@@ -53,6 +54,27 @@ def test_every_imported_name_is_read(path):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = sorted(name for _, name, _ in imports(tree) if name not in read)
     assert unread == [], f"{path.name} imports names it never reads: {unread}"
+
+
+#: (importing module, imported module, name) of each private name one module
+#: imports from another. Both go once the replicates of `simulation` run on a
+#: per-sample plan in place of the sample memo (ROADMAP.md).
+PRIVATE_IMPORTS = {
+    ("simulation.py", "estimators", "_first_stage_basis"),
+    ("simulation.py", "estimators", "_sample_observance"),
+}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_another_modules_private_name_but_the_listed_ones():
+    private = {(path.name, node.module, alias.name)
+               for path in MODULES for node in ast.walk(parse(path))
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if is_private(alias.name)}
+    assert private == PRIVATE_IMPORTS
 
 
 def test_only_the_standard_library_and_declared_dependencies_are_imported():
