@@ -395,15 +395,6 @@ class TestInputs:
         assert manifest["inputs"] == {"config": sha256(config)}
         assert manifest["config"]["n"] == [30] and manifest["seed"] == 1
 
-    def test_a_parse_error_names_the_file_of_each_input(self, small_dataset, tmp_path, capsys):
-        files = {n: small_dataset / n for n in ("curves.csv", "responses.csv")}
-        bad = tmp_path / "bad.csv"
-        bad.write_text("y,observed\n1.5,1\nabc,1\n")
-        assert run(fit_argv(files["curves.csv"], bad, tmp_path / "o")) == 2
-        assert capsys.readouterr().err == f"error: {bad}:3: malformed decimal value 'abc'\n"
-        assert run(fit_argv(bad, files["responses.csv"], tmp_path / "o")) == 2
-        assert capsys.readouterr().err == (f"error: {bad}:1: malformed decimal value 'y'\n")
-
 
 class TestOverflowingResponses:
     """Observed responses whose centered squared norm overflows are refused
